@@ -34,8 +34,9 @@ inter-plane delta predictor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,33 +96,26 @@ def plane_residuals(
     if not plane_delta or len(planes) == 1:
         return planes
     size = 1 << image.bit_depth
-    arrays = [plane.to_array() for plane in planes]
     residuals = [planes[0]]
     for k in range(1, len(planes)):
-        delta = (arrays[k] - arrays[k - 1]) % size
-        residuals.append(
-            GrayImage(
-                image.width,
-                image.height,
-                delta.reshape(-1).tolist(),
-                image.bit_depth,
-                planes[k].name,
-            )
-        )
+        delta = (planes[k].to_array() - planes[k - 1].to_array()) % size
+        delta.flags.writeable = False
+        residuals.append(GrayImage._wrap(delta, image.bit_depth, planes[k].name))
     return residuals
 
 
 def reconstruct_plane_arrays(
-    residuals: Sequence[np.ndarray], bit_depth: int, plane_delta: bool
-) -> List[np.ndarray]:
-    """Invert :func:`plane_residuals` on decoded residual arrays."""
-    if not plane_delta or len(residuals) == 1:
-        return list(residuals)
-    size = 1 << bit_depth
-    planes = [residuals[0]]
-    for k in range(1, len(residuals)):
-        planes.append((residuals[k] + planes[k - 1]) % size)
-    return planes
+    residuals: np.ndarray, bit_depth: int, plane_delta: bool
+) -> np.ndarray:
+    """Invert :func:`plane_residuals` in place on a ``(planes, H, W)`` residual array.
+
+    Plane ``k`` becomes ``(residual_0 + ... + residual_k) mod 2**bit_depth``,
+    the running modular sum that undoes the plane-to-plane delta.
+    """
+    if plane_delta and len(residuals) > 1:
+        np.cumsum(residuals, axis=0, out=residuals)
+        residuals %= 1 << bit_depth
+    return residuals
 
 
 # ---------------------------------------------------------------------- #
@@ -165,14 +159,13 @@ def _resolve_map(executor, task_count: int) -> Callable:
 # ---------------------------------------------------------------------- #
 
 
-def _encode_cell_task(task: Tuple[int, int, List[int], int, CodecConfig, str]):
+def _encode_cell_task(task: Tuple[GrayImage, CodecConfig, str]):
     """Worker: encode one cell; returns (payload, statistics).
 
     Module-level so it can be pickled into pool workers; the task tuple is
-    ``(width, row_count, pixels, bit_depth, config, engine)``.
+    ``(cell, config, engine)``.
     """
-    width, row_count, pixels, bit_depth, config, engine = task
-    cell = GrayImage(width, row_count, pixels, bit_depth)
+    cell, config, engine = task
     return encode_payload(cell, config, engine=engine)
 
 
@@ -206,20 +199,17 @@ def encode_grid(
         raise ConfigError(str(exc)) from exc
 
     residuals = plane_residuals(image, plane_delta)
-    tasks = []
-    for residual in residuals:
-        pixels = residual.pixels()
-        for spec in plan:
-            tasks.append(
-                (
-                    image.width,
-                    spec.row_count,
-                    pixels[spec.start_row * image.width : spec.stop_row * image.width],
-                    image.bit_depth,
-                    config,
-                    engine,
-                )
-            )
+    tasks = [
+        (
+            GrayImage._wrap(
+                residual.to_array()[spec.start_row : spec.stop_row], image.bit_depth
+            ),
+            config,
+            engine,
+        )
+        for residual in residuals
+        for spec in plan
+    ]
     results = _resolve_map(executor, len(tasks))(_encode_cell_task, tasks)
     payloads = [payload for payload, _ in results]
     plane_payloads = [
@@ -305,36 +295,40 @@ def decode_one_cell(
         cell = data_or_cell
     cell = verify_component_cell(header, plane, spec.index, cell)
     pixels = _decode_cell_task((cell, header.width, spec.row_count, config, engine))
-    return np.asarray(pixels, dtype=np.int64).reshape(spec.row_count, header.width)
+    array = np.asarray(pixels, dtype=np.int64).reshape(spec.row_count, header.width)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class DecodedSelection:
-    """The reconstructed sample arrays of one (planes, stripe-range) query."""
+    """The reconstructed samples of one (planes, stripe-range) query."""
 
     header: StreamHeader
     #: The stripe specs actually decoded (a contiguous slice of the plan).
     plan: tuple
     #: Rows covered by the selection.
     row_count: int
-    #: Requested plane index -> ``(row_count, width)`` reconstructed array.
-    planes: Dict[int, np.ndarray]
+    #: The requested plane indices, ascending.
+    plane_indices: Tuple[int, ...]
+    #: Read-only ``(len(plane_indices), row_count, width)`` samples;
+    #: ``samples[i]`` is plane ``plane_indices[i]``.
+    samples: np.ndarray
 
     def plane_image(self, plane: int) -> GrayImage:
-        """One requested plane as a :class:`GrayImage`."""
+        """One requested plane as a :class:`GrayImage` (no copy)."""
         name = default_plane_names(self.header.component_count)[plane]
-        return GrayImage(
-            self.header.width,
-            self.row_count,
-            self.planes[plane].reshape(-1).tolist(),
-            self.header.bit_depth,
-            name,
+        return GrayImage._wrap(
+            self.samples[self.plane_indices.index(plane)], self.header.bit_depth, name
         )
 
     def planar_image(self) -> PlanarImage:
-        """All requested planes as a :class:`PlanarImage`."""
-        return PlanarImage(
-            [self.plane_image(plane) for plane in sorted(self.planes)]
+        """All requested planes as a :class:`PlanarImage` (no copy)."""
+        names = default_plane_names(self.header.component_count)
+        return PlanarImage._wrap(
+            self.samples,
+            self.header.bit_depth,
+            [names[plane] for plane in self.plane_indices],
         )
 
     def image(self) -> Union[GrayImage, PlanarImage]:
@@ -384,16 +378,12 @@ def decode_selection(
             tasks.append((cell, header.width, spec.row_count, config, engine))
     cell_pixels = _resolve_map(executor, len(tasks))(_decode_cell_task, tasks)
 
-    row_count = sum(spec.row_count for spec in plan)
-    residual_arrays = []
-    for index in range(len(needed)):
-        pixels: List[int] = []
-        for part in cell_pixels[index * len(plan) : (index + 1) * len(plan)]:
-            pixels.extend(part)
-        residual_arrays.append(
-            np.asarray(pixels, dtype=np.int64).reshape(row_count, header.width)
-        )
-    return assemble_selection(header, plan, requested, needed, residual_arrays)
+    # Tasks run plane-major, stripes in row order, so the concatenated
+    # cells are exactly the (planes, rows, width) residual stack.
+    residuals = np.fromiter(
+        itertools.chain.from_iterable(cell_pixels), dtype=np.int64
+    ).reshape(len(needed), -1, header.width)
+    return assemble_selection(header, plan, requested, needed, residuals)
 
 
 def select_cells(
@@ -448,20 +438,25 @@ def assemble_selection(
     plan: Sequence,
     requested: Sequence[int],
     needed: Sequence[int],
-    residual_arrays: Sequence[np.ndarray],
+    residuals: np.ndarray,
 ) -> DecodedSelection:
     """Invert the plane delta over decoded residuals and pick the planes asked for.
 
-    ``residual_arrays`` holds one ``(row_count, width)`` array per entry of
-    ``needed``, in order — exactly what a cell decoder produces.
+    ``residuals`` is a fresh ``(len(needed), row_count, width)`` int64
+    array, ``residuals[i]`` holding plane ``needed[i]``'s decoded cells in
+    row order.  It is reconstructed in place and frozen, so the selection's
+    images wrap it without copying; only a request for a strict subset of
+    the decoded planes (a delta chain) copies the planes it keeps.
     """
-    reconstructed = reconstruct_plane_arrays(
-        list(residual_arrays), header.bit_depth, header.plane_delta
-    )
-    by_plane = dict(zip(needed, reconstructed))
+    samples = reconstruct_plane_arrays(residuals, header.bit_depth, header.plane_delta)
+    plane_indices = tuple(sorted(set(requested)))
+    if plane_indices != tuple(needed):
+        samples = samples[[list(needed).index(plane) for plane in plane_indices]]
+    samples.flags.writeable = False
     return DecodedSelection(
         header=header,
         plan=tuple(plan),
         row_count=sum(spec.row_count for spec in plan),
-        planes={plane: by_plane[plane] for plane in requested},
+        plane_indices=plane_indices,
+        samples=samples,
     )

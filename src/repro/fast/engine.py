@@ -67,7 +67,7 @@ def encode_payload_fast(image: GrayImage, config: CodecConfig) -> tuple:
     """
     width = image.width
     height = image.height
-    px = np.asarray(image.pixels(), dtype=np.int64).reshape(height, width)
+    px = image.to_array()
     # Same loud failure as the reference engine's map_error when the image
     # range exceeds the configured bit depth (e.g. encode_payload called
     # directly with a mismatched config): wrapping silently would produce a

@@ -1,22 +1,32 @@
 """Grey-scale image container.
 
 All codecs in this package operate on :class:`GrayImage`: a small, immutable
-wrapper around a row-major list of integer pixel values with an explicit bit
-depth.  The container deliberately stores plain Python integers (not a numpy
-array) in its accessor API because the codecs are integer-exact, but it can
-be constructed from and converted to numpy arrays for the synthetic
-generators and the metrics code.
+wrapper around one read-only ``(height, width)`` int64 numpy array with an
+explicit bit depth.  The array is the image: :meth:`GrayImage.to_array`
+hands it out without copying, and the Netpbm writers render it directly.
+The per-pixel accessors (:meth:`~GrayImage.pixels`, :meth:`~GrayImage.row`,
+:meth:`~GrayImage.get`, :meth:`~GrayImage.iter_pixels`) return plain Python
+integers for the integer-exact per-pixel loops of the reference engine and
+the baselines; the list behind them is built on first use only.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.exceptions import ImageFormatError
 
-__all__ = ["GrayImage"]
+__all__ = ["GrayImage", "first_out_of_range"]
+
+
+def first_out_of_range(samples: np.ndarray, max_value: int) -> Optional[int]:
+    """The first sample (raster order) outside ``[0, max_value]``, or ``None``."""
+    if samples.size and (samples.min() < 0 or samples.max() > max_value):
+        flat = samples.reshape(-1)
+        return int(flat[np.flatnonzero((flat < 0) | (flat > max_value))[0]])
+    return None
 
 
 class GrayImage:
@@ -27,7 +37,9 @@ class GrayImage:
     width, height:
         Image dimensions in pixels; both must be positive.
     pixels:
-        Row-major sequence of ``width * height`` integer samples.
+        ``width * height`` integer samples in row-major order: a flat
+        sequence or any numpy array of that size.  They are copied, so
+        later changes to the source do not reach the image.
     bit_depth:
         Bits per sample (1-16).  All samples must lie in
         ``[0, 2**bit_depth - 1]``.
@@ -35,13 +47,13 @@ class GrayImage:
         Optional label used in reports (e.g. the corpus image name).
     """
 
-    __slots__ = ("_width", "_height", "_pixels", "_bit_depth", "_name")
+    __slots__ = ("_width", "_height", "_array", "_bit_depth", "_name", "_samples")
 
     def __init__(
         self,
         width: int,
         height: int,
-        pixels: Sequence[int],
+        pixels: Union[np.ndarray, Sequence[int]],
         bit_depth: int = 8,
         name: str = "",
     ) -> None:
@@ -51,24 +63,44 @@ class GrayImage:
             )
         if not 1 <= bit_depth <= 16:
             raise ImageFormatError("bit_depth must be in [1, 16], got %d" % bit_depth)
-        pixel_list = [int(p) for p in pixels]
-        if len(pixel_list) != width * height:
+        try:
+            array = np.array(pixels, dtype=np.int64)  # always a private copy
+        except OverflowError as exc:
+            raise ImageFormatError("pixel value outside the int64 range: %s" % exc) from exc
+        if array.size != width * height:
             raise ImageFormatError(
                 "expected %d pixels for %dx%d image, got %d"
-                % (width * height, width, height, len(pixel_list))
+                % (width * height, width, height, array.size)
             )
         max_value = (1 << bit_depth) - 1
-        for value in pixel_list:
-            if not 0 <= value <= max_value:
-                raise ImageFormatError(
-                    "pixel value %d outside [0, %d] for bit depth %d"
-                    % (value, max_value, bit_depth)
-                )
-        self._width = width
-        self._height = height
-        self._pixels = pixel_list
+        bad = first_out_of_range(array, max_value)
+        if bad is not None:
+            raise ImageFormatError(
+                "pixel value %d outside [0, %d] for bit depth %d" % (bad, max_value, bit_depth)
+            )
+        array.flags.writeable = False
+        self._init(array.reshape(height, width), bit_depth, name)
+
+    def _init(self, array: np.ndarray, bit_depth: int, name: str) -> None:
+        self._height, self._width = array.shape
+        # Hand out a view, never the owner: numpy refuses to make a view of
+        # a read-only array writeable again.
+        self._array = array.view() if array.base is None else array
         self._bit_depth = bit_depth
         self._name = name
+        self._samples: Optional[List[int]] = None
+
+    @classmethod
+    def _wrap(cls, array: np.ndarray, bit_depth: int, name: str = "") -> "GrayImage":
+        """Adopt a read-only, in-range ``(height, width)`` int64 array without copying.
+
+        For arrays this package produced itself (decoded cells, planes of a
+        :class:`~repro.imaging.planar.PlanarImage`); the caller vouches for
+        the dtype, the range and that nothing writes to the array.
+        """
+        image = cls.__new__(cls)
+        image._init(array, bit_depth, name)
+        return image
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -82,9 +114,9 @@ class GrayImage:
                 "expected a 2-D array, got %d dimensions" % array.ndim
             )
         max_value = (1 << bit_depth) - 1
-        clipped = np.clip(np.rint(array), 0, max_value).astype(np.int64)
+        clipped = np.clip(np.rint(array), 0, max_value)
         height, width = clipped.shape
-        return cls(width, height, clipped.reshape(-1).tolist(), bit_depth, name)
+        return cls(width, height, clipped, bit_depth, name)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], bit_depth: int = 8, name: str = "") -> "GrayImage":
@@ -92,12 +124,9 @@ class GrayImage:
         if not rows:
             raise ImageFormatError("cannot build an image from zero rows")
         width = len(rows[0])
-        flat: List[int] = []
-        for row in rows:
-            if len(row) != width:
-                raise ImageFormatError("rows have inconsistent lengths")
-            flat.extend(int(v) for v in row)
-        return cls(width, len(rows), flat, bit_depth, name)
+        if any(len(row) != width for row in rows):
+            raise ImageFormatError("rows have inconsistent lengths")
+        return cls(width, len(rows), [v for row in rows for v in row], bit_depth, name)
 
     @classmethod
     def constant(cls, width: int, height: int, value: int, bit_depth: int = 8, name: str = "") -> "GrayImage":
@@ -133,6 +162,13 @@ class GrayImage:
     def pixel_count(self) -> int:
         return self._width * self._height
 
+    def _sample_list(self) -> List[int]:
+        """The row-major samples as Python ints, built on first use."""
+        samples = self._samples
+        if samples is None:
+            samples = self._samples = self._array.reshape(-1).tolist()
+        return samples
+
     def get(self, x: int, y: int) -> int:
         """Return the sample at column ``x``, row ``y`` (bounds-checked)."""
         if not 0 <= x < self._width or not 0 <= y < self._height:
@@ -140,57 +176,54 @@ class GrayImage:
                 "pixel (%d, %d) outside %dx%d image"
                 % (x, y, self._width, self._height)
             )
-        return self._pixels[y * self._width + x]
+        return self._sample_list()[y * self._width + x]
 
     def row(self, y: int) -> List[int]:
         """Return row ``y`` as a list."""
         if not 0 <= y < self._height:
             raise ImageFormatError("row %d outside image of height %d" % (y, self._height))
         start = y * self._width
-        return self._pixels[start : start + self._width]
+        return self._sample_list()[start : start + self._width]
 
     def pixels(self) -> List[int]:
         """Return a copy of the row-major pixel list."""
-        return list(self._pixels)
+        return list(self._sample_list())
 
     def iter_pixels(self) -> Iterable[int]:
         """Iterate over pixels in raster order without copying."""
-        return iter(self._pixels)
+        return iter(self._sample_list())
 
     def to_array(self) -> np.ndarray:
-        """Return the image as a 2-D numpy array of int64."""
-        return np.array(self._pixels, dtype=np.int64).reshape(self._height, self._width)
+        """Return the image's read-only ``(height, width)`` int64 array (no copy)."""
+        return self._array
 
     def to_bytes(self) -> bytes:
         """Serialise the raw samples (big-endian 16-bit when depth > 8)."""
-        if self._bit_depth <= 8:
-            return bytes(self._pixels)
-        out = bytearray()
-        for value in self._pixels:
-            out.append(value >> 8)
-            out.append(value & 0xFF)
-        return bytes(out)
+        return self._array.astype(np.uint8 if self._bit_depth <= 8 else ">u2").tobytes()
 
     def with_name(self, name: str) -> "GrayImage":
         """Return a copy of this image carrying a different label."""
-        return GrayImage(self._width, self._height, self._pixels, self._bit_depth, name)
+        return GrayImage._wrap(self._array, self._bit_depth, name)
 
     # ------------------------------------------------------------------ #
     # dunder methods
     # ------------------------------------------------------------------ #
 
+    def __reduce__(self):
+        return (
+            GrayImage,
+            (self._width, self._height, self._array, self._bit_depth, self._name),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GrayImage):
             return NotImplemented
-        return (
-            self._width == other._width
-            and self._height == other._height
-            and self._bit_depth == other._bit_depth
-            and self._pixels == other._pixels
+        return self._bit_depth == other._bit_depth and bool(
+            np.array_equal(self._array, other._array)
         )
 
     def __hash__(self) -> int:
-        return hash((self._width, self._height, self._bit_depth, tuple(self._pixels)))
+        return hash((self._width, self._height, self._bit_depth, self._array.tobytes()))
 
     def __repr__(self) -> str:
         label = " %r" % self._name if self._name else ""

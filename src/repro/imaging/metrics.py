@@ -96,7 +96,7 @@ def images_identical(first: GrayImage, second: GrayImage) -> bool:
         first.width == second.width
         and first.height == second.height
         and first.bit_depth == second.bit_depth
-        and first.pixels() == second.pixels()
+        and bool(np.array_equal(first.to_array(), second.to_array()))
     )
 
 

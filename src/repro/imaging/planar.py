@@ -2,14 +2,17 @@
 
 :class:`PlanarImage` holds ``N`` co-registered sample planes — RGB colour,
 multi-band sensor payloads, or any stack of equally sized components — as a
-tuple of :class:`~repro.imaging.image.GrayImage` planes sharing one geometry
-and bit depth.  The codecs treat every plane as an independent grey-scale
-image (optionally after the inter-plane delta predictor of
-:mod:`repro.core.components`), which is what lets the single-plane pipeline
-serve colour traffic unchanged.
+single read-only ``(planes, height, width)`` int64 array; each plane is a
+:class:`~repro.imaging.image.GrayImage` over a view of it, so all planes
+share one geometry and bit depth.  The codecs treat every plane as an
+independent grey-scale image (optionally after the inter-plane delta
+predictor of :mod:`repro.core.components`), which is what lets the
+single-plane pipeline serve colour traffic unchanged.
 
 Planes are stored planar (one full plane after another), not interleaved;
-the PPM/PAM readers in :mod:`repro.imaging.pnm` de-interleave on load.
+:meth:`PlanarImage.to_array` is a pixel-interleaved ``(H, W, C)`` view of
+them, and the PPM/PAM writers in :mod:`repro.imaging.pnm` interleave as
+they render.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class PlanarImage:
     image name are ignored, mirroring :class:`GrayImage`.
     """
 
-    __slots__ = ("_planes", "_name")
+    __slots__ = ("_array", "_planes", "_name")
 
     def __init__(self, planes: Iterable[GrayImage], name: str = "") -> None:
         plane_tuple = tuple(planes)
@@ -87,8 +90,38 @@ class PlanarImage:
                         first.bit_depth,
                     )
                 )
-        self._planes = plane_tuple
+        array = np.stack([plane.to_array() for plane in plane_tuple])
+        array.flags.writeable = False
+        self._init(array, first.bit_depth, [plane.name for plane in plane_tuple], name)
+
+    def _init(
+        self, array: np.ndarray, bit_depth: int, plane_names: Sequence[str], name: str
+    ) -> None:
+        self._array = array
+        self._planes = tuple(
+            GrayImage._wrap(plane, bit_depth, label) for plane, label in zip(array, plane_names)
+        )
         self._name = name
+
+    @classmethod
+    def _wrap(
+        cls,
+        array: np.ndarray,
+        bit_depth: int,
+        plane_names: Optional[Sequence[str]] = None,
+        name: str = "",
+    ) -> "PlanarImage":
+        """Adopt a read-only, in-range ``(planes, H, W)`` int64 array without copying.
+
+        The same contract as :meth:`GrayImage._wrap
+        <repro.imaging.image.GrayImage._wrap>`: only for arrays this package
+        produced and nobody writes to.
+        """
+        if plane_names is None:
+            plane_names = default_plane_names(array.shape[0])
+        image = cls.__new__(cls)
+        image._init(array, bit_depth, plane_names, name)
+        return image
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -197,8 +230,8 @@ class PlanarImage:
         return self._planes
 
     def to_array(self) -> np.ndarray:
-        """Return the image as an ``(H, W, C)`` numpy array of int64."""
-        return np.stack([plane.to_array() for plane in self._planes], axis=-1)
+        """Return the image as a read-only ``(H, W, C)`` int64 view (no copy)."""
+        return self._array.transpose(1, 2, 0)
 
     def interleaved_samples(self) -> List[int]:
         """Return samples in pixel-interleaved order (r g b r g b ...)."""
@@ -214,7 +247,7 @@ class PlanarImage:
 
     def with_name(self, name: str) -> "PlanarImage":
         """Return a copy of this image carrying a different label."""
-        return PlanarImage(self._planes, name=name)
+        return PlanarImage._wrap(self._array, self.bit_depth, self.plane_names, name)
 
     # ------------------------------------------------------------------ #
     # dunder methods
@@ -223,10 +256,12 @@ class PlanarImage:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlanarImage):
             return NotImplemented
-        return self._planes == other._planes
+        return self.bit_depth == other.bit_depth and bool(
+            np.array_equal(self._array, other._array)
+        )
 
     def __hash__(self) -> int:
-        return hash(self._planes)
+        return hash((self._array.shape, self.bit_depth, self._array.tobytes()))
 
     def __repr__(self) -> str:
         label = " %r" % self._name if self._name else ""

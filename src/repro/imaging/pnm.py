@@ -22,9 +22,11 @@ import io
 from pathlib import Path
 from typing import BinaryIO, List, Tuple, Union
 
+import numpy as np
+
 from repro.exceptions import ImageFormatError
-from repro.imaging.image import GrayImage
-from repro.imaging.planar import MAX_PLANES, PlanarImage, default_plane_names
+from repro.imaging.image import GrayImage, first_out_of_range
+from repro.imaging.planar import MAX_PLANES, PlanarImage
 
 __all__ = [
     "read_pgm",
@@ -91,25 +93,33 @@ def _check_geometry(kind: str, width: int, height: int, maxval: int) -> int:
     return max(1, maxval.bit_length())
 
 
-def _read_binary_samples(stream: BinaryIO, count: int, maxval: int, kind: str) -> List[int]:
-    """Read ``count`` binary samples (1 or 2 bytes each, per ``maxval``)."""
-    if maxval <= 255:
-        raw = stream.read(count)
-        if len(raw) != count:
+def _read_samples(
+    stream: BinaryIO, binary: bool, count: int, maxval: int, kind: str
+) -> np.ndarray:
+    """Read ``count`` samples as a read-only int64 array, range-checked against ``maxval``.
+
+    Binary samples are 1 byte each, or 2 big-endian bytes when ``maxval``
+    exceeds 255; ASCII samples are whitespace-separated decimals.
+    """
+    if binary:
+        size = 1 if maxval <= 255 else 2
+        raw = stream.read(size * count)
+        if len(raw) != size * count:
             raise ImageFormatError(
-                "truncated %s payload: expected %d bytes, got %d" % (kind, count, len(raw))
+                "truncated %s%s payload: expected %d bytes, got %d"
+                % ("16-bit " if size == 2 else "", kind, size * count, len(raw))
             )
-        return list(raw)
-    raw = stream.read(2 * count)
-    if len(raw) != 2 * count:
-        raise ImageFormatError(
-            "truncated 16-bit %s payload: expected %d bytes, got %d"
-            % (kind, 2 * count, len(raw))
-        )
-    return [(raw[2 * i] << 8) | raw[2 * i + 1] for i in range(count)]
+        samples = np.frombuffer(raw, dtype=np.uint8 if size == 1 else ">u2").astype(np.int64)
+    else:
+        samples = _read_ascii_samples(stream, count, kind)
+    bad = first_out_of_range(samples, maxval)
+    if bad is not None:
+        raise ImageFormatError("sample %d outside %s range [0, maxval %d]" % (bad, kind, maxval))
+    samples.flags.writeable = False
+    return samples
 
 
-def _read_ascii_samples(stream: BinaryIO, count: int, kind: str) -> List[int]:
+def _read_ascii_samples(stream: BinaryIO, count: int, kind: str) -> np.ndarray:
     """Read ``count`` whitespace-separated ASCII samples."""
     text = stream.read().decode("ascii", errors="strict")
     values = text.split()
@@ -118,37 +128,37 @@ def _read_ascii_samples(stream: BinaryIO, count: int, kind: str) -> List[int]:
             "truncated ASCII %s: expected %d samples, got %d" % (kind, count, len(values))
         )
     try:
-        return [int(v) for v in values[:count]]
+        return np.array([int(v) for v in values[:count]], dtype=np.int64)
     except ValueError as exc:
         raise ImageFormatError("non-numeric sample in ASCII %s" % kind) from exc
+    except OverflowError as exc:
+        raise ImageFormatError("sample in ASCII %s exceeds 64 bits" % kind) from exc
 
 
-def _check_sample_range(samples: List[int], maxval: int, kind: str) -> None:
-    for value in samples:
-        if value > maxval:
-            raise ImageFormatError("sample %d exceeds %s maxval %d" % (value, kind, maxval))
+def _sample_bytes(image: Union[GrayImage, PlanarImage], maxval: int) -> bytes:
+    """Pixel-interleaved samples in raster order: 1 byte each, or 2 big-endian bytes above 255."""
+    planes = image.planes() if isinstance(image, PlanarImage) else (image,)
+    out = np.empty(
+        (image.height, image.width, len(planes)), dtype=np.uint8 if maxval <= 255 else ">u2"
+    )
+    # One plane at a time: contiguous reads, and no int64 interleaved copy.
+    for index, plane in enumerate(planes):
+        out[:, :, index] = plane.to_array()
+    return out.tobytes()
 
 
-def _write_binary_samples(destination: BinaryIO, samples: List[int], maxval: int) -> None:
-    if maxval <= 255:
-        destination.write(bytes(samples))
-        return
-    out = bytearray()
-    for value in samples:
-        out.append(value >> 8)
-        out.append(value & 0xFF)
-    destination.write(bytes(out))
+def _ascii_rows(rows: np.ndarray) -> bytes:
+    """One line of space-separated decimals per row of ``rows``."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist()).encode("ascii")
 
 
 def _deinterleave(
-    samples: List[int], width: int, height: int, depth: int, bit_depth: int, name: str
+    samples: np.ndarray, width: int, height: int, depth: int, bit_depth: int
 ) -> PlanarImage:
     """Split pixel-interleaved samples into a planar image."""
-    planes = [
-        GrayImage(width, height, samples[k :: depth], bit_depth, label)
-        for k, label in zip(range(depth), default_plane_names(depth))
-    ]
-    return PlanarImage(planes, name=name)
+    planes = np.ascontiguousarray(samples.reshape(height, width, depth).transpose(2, 0, 1))
+    planes.flags.writeable = False
+    return PlanarImage._wrap(planes, bit_depth)
 
 
 # ---------------------------------------------------------------------- #
@@ -164,13 +174,8 @@ def read_pgm(source: _PathOrFile) -> GrayImage:
 
     magic, width, height, maxval = _tokenise_header(source, _GRAY_MAGICS)
     bit_depth = _check_geometry("PGM", width, height, maxval)
-    count = width * height
-    if magic == b"P5":
-        pixels = _read_binary_samples(source, count, maxval, "PGM")
-    else:
-        pixels = _read_ascii_samples(source, count, "PGM")
-    _check_sample_range(pixels, maxval, "PGM")
-    return GrayImage(width, height, pixels, bit_depth)
+    samples = _read_samples(source, magic == b"P5", width * height, maxval, "PGM")
+    return GrayImage._wrap(samples.reshape(height, width), bit_depth)
 
 
 def write_pgm(image: GrayImage, destination: _PathOrFile, binary: bool = True) -> None:
@@ -184,13 +189,9 @@ def write_pgm(image: GrayImage, destination: _PathOrFile, binary: bool = True) -
     header = "%s\n%d %d\n%d\n" % ("P5" if binary else "P2", image.width, image.height, maxval)
     destination.write(header.encode("ascii"))
     if binary:
-        destination.write(image.to_bytes())
+        destination.write(_sample_bytes(image, maxval))
     else:
-        text = io.StringIO()
-        for y in range(image.height):
-            text.write(" ".join(str(v) for v in image.row(y)))
-            text.write("\n")
-        destination.write(text.getvalue().encode("ascii"))
+        destination.write(_ascii_rows(image.to_array()))
 
 
 # ---------------------------------------------------------------------- #
@@ -206,13 +207,8 @@ def read_ppm(source: _PathOrFile) -> PlanarImage:
 
     magic, width, height, maxval = _tokenise_header(source, _RGB_MAGICS)
     bit_depth = _check_geometry("PPM", width, height, maxval)
-    count = width * height * 3
-    if magic == b"P6":
-        samples = _read_binary_samples(source, count, maxval, "PPM")
-    else:
-        samples = _read_ascii_samples(source, count, "PPM")
-    _check_sample_range(samples, maxval, "PPM")
-    return _deinterleave(samples, width, height, 3, bit_depth, "")
+    samples = _read_samples(source, magic == b"P6", width * height * 3, maxval, "PPM")
+    return _deinterleave(samples, width, height, 3, bit_depth)
 
 
 def write_ppm(image: PlanarImage, destination: _PathOrFile, binary: bool = True) -> None:
@@ -230,17 +226,10 @@ def write_ppm(image: PlanarImage, destination: _PathOrFile, binary: bool = True)
     maxval = image.max_value
     header = "%s\n%d %d\n%d\n" % ("P6" if binary else "P3", image.width, image.height, maxval)
     destination.write(header.encode("ascii"))
-    samples = image.interleaved_samples()
     if binary:
-        _write_binary_samples(destination, samples, maxval)
+        destination.write(_sample_bytes(image, maxval))
     else:
-        text = io.StringIO()
-        per_row = image.width * 3
-        for y in range(image.height):
-            row = samples[y * per_row : (y + 1) * per_row]
-            text.write(" ".join(str(v) for v in row))
-            text.write("\n")
-        destination.write(text.getvalue().encode("ascii"))
+        destination.write(_ascii_rows(image.to_array().reshape(image.height, -1)))
 
 
 # ---------------------------------------------------------------------- #
@@ -288,9 +277,8 @@ def read_pam(source: _PathOrFile) -> PlanarImage:
     bit_depth = _check_geometry("PAM", width, height, maxval)
     if not 1 <= depth <= MAX_PLANES:
         raise ImageFormatError("PAM depth must be in [1, %d], got %d" % (MAX_PLANES, depth))
-    samples = _read_binary_samples(source, width * height * depth, maxval, "PAM")
-    _check_sample_range(samples, maxval, "PAM")
-    return _deinterleave(samples, width, height, depth, bit_depth, "")
+    samples = _read_samples(source, True, width * height * depth, maxval, "PAM")
+    return _deinterleave(samples, width, height, depth, bit_depth)
 
 
 def write_pam(image: PlanarImage, destination: _PathOrFile) -> None:
@@ -310,7 +298,7 @@ def write_pam(image: PlanarImage, destination: _PathOrFile) -> None:
         header.append("TUPLTYPE %s" % tupltype)
     header.append("ENDHDR")
     destination.write(("\n".join(header) + "\n").encode("ascii"))
-    _write_binary_samples(destination, image.interleaved_samples(), image.max_value)
+    destination.write(_sample_bytes(image, image.max_value))
 
 
 # ---------------------------------------------------------------------- #

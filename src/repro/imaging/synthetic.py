@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from repro.exceptions import CorpusError
 from repro.imaging.image import GrayImage
@@ -198,9 +197,11 @@ _NAME_SEED_OFFSET = {name: index * 1009 for index, name in enumerate(CORPUS_IMAG
 
 def _smooth_base(rng: np.random.Generator, size: int, spec: SyntheticSpec) -> np.ndarray:
     """Low-frequency shading: heavily blurred white noise plus a ramp."""
+    from scipy.ndimage import gaussian_filter
+
     noise = rng.standard_normal((size, size))
     sigma = max(2.0, spec.base_scale * size / 4.0)
-    shading = ndimage.gaussian_filter(noise, sigma=sigma, mode="reflect")
+    shading = gaussian_filter(noise, sigma=sigma, mode="reflect")
     peak = np.max(np.abs(shading)) or 1.0
     shading = shading / peak * (spec.base_amplitude / 2.0)
     ramp_direction = rng.uniform(0.0, 2.0 * np.pi)
@@ -215,6 +216,8 @@ def _smooth_base(rng: np.random.Generator, size: int, spec: SyntheticSpec) -> np
 
 def _structures(rng: np.random.Generator, size: int, spec: SyntheticSpec) -> np.ndarray:
     """Sharp-edged elliptical and rectangular structures."""
+    from scipy.ndimage import gaussian_filter
+
     canvas = np.zeros((size, size))
     ys, xs = np.mgrid[0:size, 0:size]
     for _ in range(spec.edge_count):
@@ -236,11 +239,13 @@ def _structures(rng: np.random.Generator, size: int, spec: SyntheticSpec) -> np.
             mask = (np.abs(xs - cx) <= w / 2) & (np.abs(ys - cy) <= h / 2)
         canvas[mask] += amplitude
     # A touch of blur keeps edges a couple of pixels wide, like optics would.
-    return ndimage.gaussian_filter(canvas, sigma=0.6, mode="reflect")
+    return gaussian_filter(canvas, sigma=0.6, mode="reflect")
 
 
 def _oriented_texture(rng: np.random.Generator, size: int, spec: SyntheticSpec) -> np.ndarray:
     """Oriented sinusoidal texture with spatially varying amplitude."""
+    from scipy.ndimage import gaussian_filter
+
     if spec.texture_amplitude <= 0 or spec.texture_orientations <= 0:
         return np.zeros((size, size))
     ys, xs = np.mgrid[0:size, 0:size]
@@ -253,7 +258,7 @@ def _oriented_texture(rng: np.random.Generator, size: int, spec: SyntheticSpec) 
             2 * np.pi * frequency * (xs * np.cos(theta) + ys * np.sin(theta)) / size
             + phase
         )
-        envelope = ndimage.gaussian_filter(
+        envelope = gaussian_filter(
             rng.standard_normal((size, size)), sigma=size / 10.0, mode="reflect"
         )
         envelope = np.abs(envelope)
@@ -331,6 +336,8 @@ def generate_planar_image(
     which is what makes the inter-plane delta predictor of
     :mod:`repro.core.components` pay off.
     """
+    from scipy.ndimage import gaussian_filter
+
     if not 1 <= planes <= 255:
         raise CorpusError("plane count must be in [1, 255], got %d" % planes)
     base = generate_image(name, size=size, seed=seed).to_array().astype(np.float64)
@@ -341,7 +348,7 @@ def generate_planar_image(
         # per-process and would break the corpus's determinism).
         rng = np.random.default_rng(seed + _NAME_SEED_OFFSET[name] + 104729 * (k + 1))
         gain = 1.0 + (k - (planes - 1) / 2.0) * 0.06
-        chroma = ndimage.gaussian_filter(
+        chroma = gaussian_filter(
             rng.standard_normal((size, size)), sigma=max(2.0, size / 6.0), mode="reflect"
         )
         peak = np.max(np.abs(chroma)) or 1.0

@@ -122,9 +122,7 @@ def encode_payload_native(image: GrayImage, config: CodecConfig) -> tuple:
     """
     kt = _kernel_tables(config)
     _require_int64_headroom(config, kt.depth)
-    width = image.width
-    height = image.height
-    px = np.asarray(image.pixels(), dtype=np.int64).reshape(height, width)
+    px = image.to_array()
     if px.size and (px.max() > config.max_sample or px.min() < 0):
         out_of_range = px[(px > config.max_sample) | (px < 0)]
         raise ModelStateError(

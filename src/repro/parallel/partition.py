@@ -87,6 +87,8 @@ def extract_stripe(image: GrayImage, spec: StripeSpec) -> GrayImage:
             "stripe rows [%d, %d) outside image of height %d"
             % (spec.start_row, spec.stop_row, image.height)
         )
-    rows = [image.row(y) for y in range(spec.start_row, spec.stop_row)]
     name = "%s-stripe%d" % (image.name, spec.index) if image.name else ""
-    return GrayImage.from_rows(rows, bit_depth=image.bit_depth, name=name)
+    # A row slice of a read-only image array is itself a valid image array.
+    return GrayImage._wrap(
+        image.to_array()[spec.start_row : spec.stop_row], image.bit_depth, name
+    )

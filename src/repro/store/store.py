@@ -531,7 +531,8 @@ class ImageStore:
         """Decode one component plane straight off the stored index."""
         with self._pin(key):
             self._check_visible(key, include_deleted)
-            return self._select(key, planes=(plane,)).plane_image(plane)
+            [selection] = self._get_regions_pinned(key, [None], planes=(plane,))
+            return selection.plane_image(plane)
 
     def get_region(
         self,
@@ -543,7 +544,8 @@ class ImageStore:
         """Decode the rows covered by stripes ``[start, stop)``, and only those."""
         with self._pin(key):
             self._check_visible(key, include_deleted)
-            return self._select(key, planes=planes, stripe_range=stripe_range).image()
+            [selection] = self._get_regions_pinned(key, [stripe_range], planes=planes)
+            return selection.image()
 
     def get_regions(
         self,
@@ -560,15 +562,27 @@ class ImageStore:
         """
         with self._pin(key):
             self._check_visible(key, include_deleted)
-            return self._get_regions_pinned(key, stripe_ranges)
+            return [
+                selection.image()
+                for selection in self._get_regions_pinned(key, stripe_ranges)
+            ]
 
     def _get_regions_pinned(
-        self, key: str, stripe_ranges: Sequence[Tuple[int, int]]
-    ) -> List[Union[GrayImage, PlanarImage]]:
+        self,
+        key: str,
+        stripe_ranges: Sequence[Optional[Tuple[int, int]]],
+        planes: Optional[Sequence[int]] = None,
+    ) -> List[DecodedSelection]:
+        """Every region read: (planes, stripe-range) queries through the cache + index.
+
+        A ``None`` stripe range selects every stripe; ``planes=None`` every
+        plane.  The distinct cells of all queries are resolved once, then
+        each query's cells are joined per plane and assembled.
+        """
         header = self.header(key)
         config = resolve_stream_config(header, self.config)
         selections = [
-            select_cells(header, None, stripe_range) for stripe_range in stripe_ranges
+            select_cells(header, planes, stripe_range) for stripe_range in stripe_ranges
         ]
         wanted: Dict[Tuple[int, int], None] = {}
         by_spec: Dict[int, Any] = {}
@@ -580,35 +594,14 @@ class ImageStore:
         cells = self._resolve_cells(
             key, header, config, [(plane, by_spec[stripe]) for plane, stripe in wanted]
         )
-        results: List[Union[GrayImage, PlanarImage]] = []
+        results: List[DecodedSelection] = []
         for plan, requested, needed in selections:
-            residuals = [
-                np.concatenate([cells[(plane, spec.index)] for spec in plan])
-                for plane in needed
-            ]
-            results.append(
-                assemble_selection(header, plan, requested, needed, residuals).image()
-            )
+            rows = sum(spec.row_count for spec in plan)
+            residuals = np.empty((len(needed), rows, header.width), dtype=np.int64)
+            for plane, out in zip(needed, residuals):
+                np.concatenate([cells[(plane, spec.index)] for spec in plan], out=out)
+            results.append(assemble_selection(header, plan, requested, needed, residuals))
         return results
-
-    def _select(
-        self,
-        key: str,
-        planes: Optional[Sequence[int]] = None,
-        stripe_range: Optional[Tuple[int, int]] = None,
-    ) -> DecodedSelection:
-        """One (planes, stripe-range) query through the cache + index."""
-        header = self.header(key)
-        config = resolve_stream_config(header, self.config)
-        plan, requested, needed = select_cells(header, planes, stripe_range)
-        cells = self._resolve_cells(
-            key, header, config, [(plane, spec) for plane in needed for spec in plan]
-        )
-        residuals = [
-            np.concatenate([cells[(plane, spec.index)] for spec in plan])
-            for plane in needed
-        ]
-        return assemble_selection(header, plan, requested, needed, residuals)
 
     def _resolve_cells(
         self, key: str, header: StreamHeader, config: CodecConfig, cells

@@ -1,5 +1,10 @@
 """Tests for the synthetic corpus generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import CorpusError
@@ -105,3 +110,26 @@ class TestGenericGenerators:
         image = generate_text_like_image(48)
         values = set(image.iter_pixels())
         assert values <= {25, 235}
+
+
+class TestLazyScipy:
+    def test_serving_entry_points_do_not_import_scipy(self):
+        # Only the corpus generators need SciPy; the server and worker
+        # processes must not pay its import time and memory at start-up.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        ))
+        code = (
+            "import sys, repro.serve.cli, repro.serve.worker; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_generators_still_use_scipy(self):
+        assert generate_image("lena", size=16) == generate_image("lena", size=16)
+        assert "scipy.ndimage" in sys.modules
