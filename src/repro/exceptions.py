@@ -57,6 +57,14 @@ class BlobNotFoundError(StoreError):
     """A store lookup referenced a key the backend does not hold."""
 
 
+class NotCachedError(StoreError):
+    """A ``cached_only`` store read cannot be answered from memory alone.
+
+    The caller repeats the read without ``cached_only``, which may read
+    the backend and decode.
+    """
+
+
 class ServeError(ReproError):
     """The network serving tier hit a protocol or transport failure.
 

@@ -6,8 +6,8 @@ a few hot streams (cumulative-plot scans, cohort-style batched region
 pulls).  This experiment quantifies what the layer buys on the synthetic
 planar corpus, per image:
 
-* **cold full** — decoding the whole blob (the only option without an
-  index): fetch + entropy-decode every cell;
+* **cold full** — decoding the whole image on an empty cache (the only
+  option without an index): fetch + entropy-decode every cell;
 * **cold region** — one stripe-range query on an empty cache: range reads
   and decodes of exactly the region's cells;
 * **warm region** — the same query again: pure cache reassembly, no
@@ -189,8 +189,8 @@ def run_store_bench(
     """Measure cold/warm random-access latency and batch throughput.
 
     Every corpus image is encoded into a throwaway store (``backend`` is
-    ``"filesystem"`` or ``"sqlite"``), then served three ways: whole-blob
-    decode, cold indexed region read, warm cached region read, plus a
+    ``"filesystem"`` or ``"sqlite"``), then served three ways: cold
+    whole-image decode, cold indexed region read, warm cached region read, plus a
     duplicate-heavy batch of region queries both batched and sequential.
     """
     if size < 16:
@@ -234,7 +234,11 @@ def run_store_bench(
                         "store round-trip failed to reconstruct %r" % image_name
                     )
 
-                cold_full = _best_of(repeats, lambda: store.get(key))
+                def cold_full_read():
+                    store.cache.clear()
+                    return store.get(key)
+
+                cold_full = _best_of(repeats, cold_full_read)
 
                 def cold_region():
                     store.cache.clear()

@@ -4,21 +4,34 @@ Request path, layer by layer::
 
     asyncio connection handler          (http.py: parse / serialise)
       -> endpoint dispatch              (_dispatch: path -> operation)
+        -> memory-only read             (_serve: warm reads, on the loop)
         -> single-flight map            (flight.py: coalesce identical reads)
           -> thread-pool offload        (CPU-bound entropy decodes off the loop)
             -> StoreRouter              (router.py: rendezvous shard pick)
               -> ImageStore             (store/: cache + range reads + CRC)
 
-Two properties keep the event loop responsive under load: every store
-operation (encode, decode, backend I/O) runs on a worker thread, and
-identical concurrent reads collapse into one store call whose result all
-waiters share — a 64-client stampede on one cold region costs one decode,
-not 64.  Reads are keyed by (operation, key, arguments); the served bytes
-are built once inside the flight, so coalesced followers reuse the
-serialised response too.
+Three properties keep the event loop responsive under load:
 
-A third property keeps the tier standing on a bad day — it degrades
-instead of buckling:
+* **warm reads stay on the loop** — a full-image, plane or region read
+  (buffered, or each piece of a streamed one) first runs right on the
+  event loop in the store's memory-only mode.  That mode uses only the
+  memoized stream header and the decoded-cell tier; it never reads the
+  backend, decodes, parses a header or waits on a lock held across disk
+  I/O.  When every cell is cached the read is answered there, with no
+  thread handoff, and counted as ``loop_served`` in ``/stats``.  Reads
+  over :data:`~repro.store.store.MEMORY_READ_MAX_SAMPLES` (a 512×512×3
+  region, ~1.7 ms of assembly and rendering) go to the pool even when
+  cached, which bounds how long one read holds up the loop;
+* **everything else runs on a worker thread** — encodes, decodes and
+  backend I/O;
+* **identical concurrent reads collapse** into one store call whose
+  result all waiters share — a 64-client stampede on one cold region
+  costs one decode, not 64.  Reads are keyed by (operation, key,
+  arguments); the served bytes are built once inside the flight, so
+  coalesced followers reuse the serialised response too.
+
+Another set of properties keeps the tier standing on a bad day — it
+degrades instead of buckling:
 
 * **admission control** — admitted in-flight requests are bounded by a
   watermark pair (:mod:`repro.serve.admission`); past the high watermark
@@ -96,6 +109,7 @@ from typing import (
     Union,
 )
 
+from repro.core.bitstream import StreamHeader
 from repro.core.cellgrid import encode_grid, select_cells
 from repro.core.config import CodecConfig
 from repro.exceptions import (
@@ -104,6 +118,7 @@ from repro.exceptions import (
     ConfigError,
     DeadlineExceededError,
     ImageFormatError,
+    NotCachedError,
     OverloadedError,
     ReproError,
     StoreError,
@@ -145,6 +160,7 @@ from repro.serve.http import (
 from repro.serve.reshard import Resharder
 from repro.serve.router import StoreRouter
 from repro.serve.routes import (
+    Route,
     classify_error,
     error_payload,
     match_route,
@@ -236,7 +252,10 @@ class ImageService:
 
     The service owns the synchronous half of the tier: every method here
     is thread-safe and blocking, designed to run on the worker pool while
-    :class:`ReproServer` keeps the event loop free.  Tests and the load
+    :class:`ReproServer` keeps the event loop free.  The exception is the
+    ``cached_only`` mode of the image reads: it never blocks, answers
+    from memory or raises :class:`~repro.exceptions.NotCachedError`, and
+    the server runs it on the loop before offloading.  Tests and the load
     benchmark may call it directly (no sockets) — the HTTP layer adds no
     behaviour beyond transport.
     """
@@ -359,6 +378,38 @@ class ImageService:
         assert not_found is not None
         raise not_found
 
+    def _memory_read(self, key: str, reader: Callable[[ImageStore], _T]) -> _T:
+        """Run a ``cached_only`` ``reader`` on the owner :meth:`_read_replicas` tries first.
+
+        Nothing is coalesced, failed over or recorded as shard health: a
+        read this cheap needs none of it.  A tombstoned or missing key also
+        raises :class:`NotCachedError`, so that the blocking read, with
+        its replica failover, gives the answer.
+        """
+        _name, store = self.health.prefer_healthy(self.router.owners(key))[0]
+        try:
+            return reader(store)
+        except BlobNotFoundError:
+            raise NotCachedError("%s is not readable from memory" % key) from None
+
+    def _image_read(
+        self,
+        flight: Tuple[object, ...],
+        key: str,
+        reader: Callable[[ImageStore], Union[GrayImage, PlanarImage]],
+        cached_only: bool,
+    ) -> Tuple[bytes, str]:
+        """One image read rendered to Netpbm.
+
+        Coalesced under ``flight`` and failed over across replicas, or,
+        with ``cached_only``, a memory-only read of the first owner.
+        """
+        if cached_only:
+            return image_to_netpbm(self._memory_read(key, reader))
+        return self._coalesced(
+            flight, lambda: image_to_netpbm(self._read_replicas(key, reader))
+        )
+
     # ------------------------------------------------------------------ #
     # operations (blocking; run these on the worker pool)
     # ------------------------------------------------------------------ #
@@ -422,31 +473,33 @@ class ImageService:
             "replicas": replicas,
         }
 
-    def get_image(self, key: str) -> Tuple[bytes, str]:
-        """Full decode (the cold, whole-blob path), coalesced per key."""
-        return self._coalesced(
+    def get_image(self, key: str, cached_only: bool = False) -> Tuple[bytes, str]:
+        """The whole image, every plane and stripe, coalesced per key."""
+        return self._image_read(
             ("image", key),
-            lambda: image_to_netpbm(
-                self._read_replicas(key, lambda store: store.get(key))
-            ),
+            key,
+            lambda store: store.get(key, cached_only=cached_only),
+            cached_only,
         )
 
-    def get_plane(self, key: str, plane: int) -> Tuple[bytes, str]:
-        return self._coalesced(
+    def get_plane(
+        self, key: str, plane: int, cached_only: bool = False
+    ) -> Tuple[bytes, str]:
+        return self._image_read(
             ("plane", key, plane),
-            lambda: image_to_netpbm(
-                self._read_replicas(key, lambda store: store.get_plane(key, plane))
-            ),
+            key,
+            lambda store: store.get_plane(key, plane, cached_only=cached_only),
+            cached_only,
         )
 
-    def get_region(self, key: str, start: int, stop: int) -> Tuple[bytes, str]:
-        return self._coalesced(
+    def get_region(
+        self, key: str, start: int, stop: int, cached_only: bool = False
+    ) -> Tuple[bytes, str]:
+        return self._image_read(
             ("region", key, start, stop),
-            lambda: image_to_netpbm(
-                self._read_replicas(
-                    key, lambda store: store.get_region(key, (start, stop))
-                )
-            ),
+            key,
+            lambda store: store.get_region(key, (start, stop), cached_only=cached_only),
+            cached_only,
         )
 
     def get_regions(
@@ -477,16 +530,26 @@ class ImageService:
 
         return self._coalesced(("regions", key, normalised), resolve)
 
-    def region_stream_plan(self, key: str, start: int, stop: int) -> Tuple[bytes, str, Tuple[int, ...]]:
+    def region_stream_plan(
+        self, key: str, start: int, stop: int, cached_only: bool = False
+    ) -> Tuple[bytes, str, Tuple[int, ...]]:
         """Geometry of a streamed region: (header bytes, content type, stripes).
 
         Computed from the stream header alone — the header parse is
         memoized by the store, so the first chunk of a streamed response
         (the Netpbm header) costs no cell decodes.  The stripe indices are
         the per-chunk fetch plan; their sample payloads concatenate to the
-        exact bytes a fully assembled region response would carry.
+        exact bytes a fully assembled region response would carry.  With
+        ``cached_only`` an unmemoized header raises :class:`NotCachedError`.
         """
-        header = self._read_replicas(key, lambda store: store.header(key))
+
+        def read(store: ImageStore) -> StreamHeader:
+            return store.header(key, cached_only)
+
+        if cached_only:
+            header = self._memory_read(key, read)
+        else:
+            header = self._read_replicas(key, read)
         plan, requested, _needed = select_cells(header, None, (start, stop))
         height = sum(spec.row_count for spec in plan)
         head, kind = netpbm_region_header(
@@ -842,7 +905,18 @@ class ReproServer:
                 pass
 
     async def _drain_writer(self, writer: asyncio.StreamWriter) -> None:
-        """Flush a response without letting a dead peer park the handler."""
+        """Flush a response without letting a dead peer park the handler.
+
+        Only write backpressure is awaited: below the transport's high
+        water mark the bytes are already with the kernel or buffered, and
+        the transport keeps sending them without help.
+        """
+        transport = writer.transport
+        if (
+            not transport.is_closing()
+            and transport.get_write_buffer_size() <= transport.get_write_buffer_limits()[1]
+        ):
+            return
         timeout = self.service.read_timeout
         if timeout is None:
             await writer.drain()
@@ -867,9 +941,7 @@ class ReproServer:
         # path list; a request that matches no route is never exempt (the
         # 404/405 is produced inside the dispatch for stats' sake).
         try:
-            route, _ = match_route(
-                request.method, split_path(request.path), request.path
-            )
+            route, _ = self._match(request)
             exempt = route.admission_exempt
         except ReproError:
             exempt = False
@@ -993,12 +1065,30 @@ class ReproServer:
         ``_handle_*`` methods only — the table, the matching and the
         error envelope are shared verbatim.
         """
-        route, params = match_route(
-            request.method, split_path(request.path), request.path
-        )
+        route, params = self._match(request)
         handler = getattr(self, "_handle_" + route.handler)
         status, body, content_type = await handler(request, context, params)
         return route.endpoint, status, body, content_type
+
+    @staticmethod
+    def _match(request: HttpRequest) -> Tuple[Route, Dict[str, object]]:
+        """The request's route-table match, looked up once and kept on it.
+
+        Admission (``_start_dispatch``) and dispatch (``_route``) both
+        need it.  A failed match is kept too and raised on every call.
+        """
+        match = request.route
+        if match is None:
+            try:
+                match = match_route(
+                    request.method, split_path(request.path), request.path
+                )
+            except ReproError as error:
+                match = error
+            request.route = match
+        if isinstance(match, ReproError):
+            raise match
+        return match
 
     # ------------------------------------------------------------------ #
     # route handlers (one per route-table entry)
@@ -1055,7 +1145,7 @@ class ReproServer:
     async def _handle_get_image(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        body, content_type = await self._offload(
+        body, content_type = await self._serve(
             context, self.service.get_image, str(params["key"])
         )
         return 200, body, content_type
@@ -1063,7 +1153,7 @@ class ReproServer:
     async def _handle_get_plane(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        body, content_type = await self._offload(
+        body, content_type = await self._serve(
             context, self.service.get_plane, str(params["key"]), params["plane"]
         )
         return 200, body, content_type
@@ -1075,7 +1165,7 @@ class ReproServer:
         start, stop = params["range"]  # type: ignore[misc]
         if self._flag_query(request, "stream"):
             return await self._stream_region(context, key, start, stop)
-        body, content_type = await self._offload(
+        body, content_type = await self._serve(
             context, self.service.get_region, key, start, stop
         )
         return 200, body, content_type
@@ -1102,18 +1192,28 @@ class ReproServer:
         The geometry plan (and any validation error it raises — unknown
         key, out-of-range stripes) is resolved *before* the status line is
         committed, so bad requests still get proper 4xx responses.  The
-        per-stripe decodes run lazily, one offload per chunk: each fetch
-        re-checks the shrinking deadline and coalesces with concurrent
-        single-stripe GETs under the same single-flight key.
+        per-stripe reads run lazily, one :meth:`_serve` per chunk, after a
+        one-tick pause once the header chunk is out: each re-checks the
+        shrinking deadline, and one that must decode is offloaded and
+        coalesces with concurrent single-stripe GETs under the same
+        single-flight key.
         """
-        head, content_type, stripes = await self._offload(
+        head, content_type, stripes = await self._serve(
             context, self.service.region_stream_plan, key, start, stop
         )
 
         async def chunks() -> AsyncIterator[bytes]:
             yield head
+            # Warm stripes are answered from memory and never block the
+            # loop, so without a pause the loop would write the whole
+            # stream in one step and keep the GIL throughout: a reader in
+            # this process could not take the committed head before the
+            # stream ended.  One timer tick (1 ms, epoll's resolution)
+            # lets it, and lets the loop serve other connections, before
+            # the stripe work starts.
+            await asyncio.sleep(0.001)
             for index in stripes:
-                payload, _ = await self._offload(
+                payload, _ = await self._serve(
                     context, self.service.get_region, key, index, index + 1
                 )
                 yield split_netpbm_payload(payload)[1]
@@ -1211,6 +1311,31 @@ class ReproServer:
             if body.on_close is not None:
                 body.on_close()
         return completed
+
+    async def _serve(self, context: RequestContext, function, *args):
+        """Answer a service read from memory on the loop, else :meth:`_offload` it.
+
+        ``function`` is a service read with a ``cached_only`` mode.  It
+        first runs right here, in that mode and under the request's bound
+        context, as :meth:`_offload` would run it on a worker: the
+        deadline is checked first, and ``cell_hook`` and the store see
+        the context.  A warm read is answered with no thread handoff and
+        counted as ``loop_served``; a :class:`NotCachedError` hands the
+        same call, without the mode, to the worker pool.  Any other error
+        is the request's answer, as it would be from the pool.
+        """
+        bind_context(context)
+        try:
+            context.check("request")
+            result = function(*args, cached_only=True)
+        except NotCachedError:
+            pass
+        else:
+            self.service.stats.bump("loop_served")
+            return result
+        finally:
+            bind_context(None)
+        return await self._offload(context, function, *args)
 
     async def _offload(self, context: RequestContext, function, *args):
         """Run a blocking service operation on the worker pool, deadline-bound.

@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Dict, Iterable, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 from urllib.parse import parse_qsl, unquote, urlsplit
 
-from repro.exceptions import ServeError
+from repro.exceptions import ReproError, ServeError
+
+if TYPE_CHECKING:  # routes imports this module
+    from repro.serve.routes import Route
 
 __all__ = [
     "HttpProtocolError",
@@ -49,8 +51,6 @@ __all__ = [
     "encode_chunk",
     "STREAM_TERMINATOR",
 ]
-
-_T = TypeVar("_T")
 
 #: Upper bound on the request line plus the header block, in bytes.
 MAX_HEADER_BYTES = 32 * 1024
@@ -99,6 +99,11 @@ class HttpRequest:
     query: Dict[str, str] = field(default_factory=dict)
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: The server's route-table match (or the 404/405 error it raised),
+    #: kept by its first lookup; see ``ReproServer._match``.
+    route: Union[Tuple["Route", Dict[str, object]], ReproError, None] = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def keep_alive(self) -> bool:
@@ -106,30 +111,60 @@ class HttpRequest:
         return self.headers.get("connection", "").lower() != "close"
 
 
-async def _timed(awaitable: Awaitable[_T], remaining: Optional[float], what: str) -> _T:
-    """Await with a time budget; a lapse is a typed ``408`` protocol error."""
-    if remaining is None:
-        return await awaitable
-    try:
-        return await asyncio.wait_for(awaitable, max(0.0, remaining))
-    except asyncio.TimeoutError:
-        raise HttpProtocolError(408, "timed out reading the %s" % what) from None
+class _ReadTimer:
+    """One loop timer bounding every read inside a ``with`` block.
+
+    ``asyncio.wait_for`` around each read would cost a task per header
+    line; this arms one ``call_later`` for the whole block instead.  When
+    it lapses it cancels the reading task, and the block exits with a
+    ``408`` :class:`HttpProtocolError` in place of that cancellation; its
+    message names :attr:`what` was being read.  A cancellation from
+    anywhere else (drain, shutdown) passes through unchanged.  It stands
+    in for ``asyncio.timeout``, which Python 3.9 lacks.
+    """
+
+    __slots__ = ("what", "_seconds", "_task", "_handle", "_fired")
+
+    def __init__(self, seconds: Optional[float], what: str) -> None:
+        self.what = what
+        self._seconds = seconds
+        self._task: Optional["asyncio.Task[object]"] = None
+        self._handle: Optional[asyncio.TimerHandle] = None
+        self._fired = False
+
+    def __enter__(self) -> "_ReadTimer":
+        if self._seconds is not None:
+            self._task = asyncio.current_task()
+            self._handle = asyncio.get_running_loop().call_later(
+                max(0.0, self._seconds), self._fire
+            )
+        return self
+
+    def _fire(self) -> None:
+        self._fired = True
+        assert self._task is not None
+        self._task.cancel()
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        if self._handle is not None:
+            self._handle.cancel()
+        if self._fired and exc_type is not None and issubclass(
+            exc_type, asyncio.CancelledError
+        ):
+            # Take back the cancel request this timer made (3.11+ counts them).
+            uncancel = getattr(self._task, "uncancel", None)
+            if uncancel is not None:
+                uncancel()
+            raise HttpProtocolError(408, "timed out reading the %s" % self.what) from None
+        return False
 
 
-async def _read_line(
-    reader: asyncio.StreamReader,
-    budget: int,
-    remaining: Optional[float] = None,
-    what: str = "header block",
-) -> bytes:
-    """One CRLF (or bare LF) terminated line within the header budget."""
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One CRLF (or bare LF) terminated line; an over-long one is a 431."""
     try:
-        line = await _timed(reader.readline(), remaining, what)
+        return await reader.readline()
     except (asyncio.LimitOverrunError, ValueError):
         raise HttpProtocolError(431, "header line exceeds the stream limit") from None
-    if len(line) > budget:
-        raise HttpProtocolError(431, "header block exceeds %d bytes" % MAX_HEADER_BYTES)
-    return line
 
 
 async def read_request(
@@ -148,28 +183,28 @@ async def read_request(
     a clean EOF and ``None`` is returned.  ``read_timeout`` bounds the
     rest — header lines and the body must arrive within that many seconds
     of the request line, or the parse fails with a typed ``408`` — a
-    half-sent request must never park the handler forever.
+    half-sent request must never park the handler forever.  Each bound is
+    one loop timer, whatever the number of reads it covers.
     """
-    budget = MAX_HEADER_BYTES
     try:
-        line = await _timed(reader.readline(), idle_timeout, "request line")
-    except HttpProtocolError:
-        return None  # idle keep-alive lapsed between requests: close quietly
-    except (asyncio.LimitOverrunError, ValueError):
-        raise HttpProtocolError(431, "header line exceeds the stream limit") from None
+        with _ReadTimer(idle_timeout, "request line"):
+            line = await _read_line(reader)
+    except HttpProtocolError as error:
+        if error.status == 408:
+            return None  # idle keep-alive lapsed between requests: close quietly
+        raise
     if not line:
         return None
-    budget -= len(line)
-    expires_at = time.monotonic() + read_timeout if read_timeout is not None else None
+    with _ReadTimer(read_timeout, "header block") as timer:
+        return await _read_rest(reader, line, timer)
 
-    def remaining() -> Optional[float]:
-        if expires_at is None:
-            return None
-        return expires_at - time.monotonic()
-    try:
-        text = line.decode("latin-1").strip()
-    except UnicodeDecodeError:  # pragma: no cover - latin-1 decodes all bytes
-        raise HttpProtocolError(400, "undecodable request line") from None
+
+async def _read_rest(
+    reader: asyncio.StreamReader, line: bytes, timer: _ReadTimer
+) -> HttpRequest:
+    """The request after its request line ``line``: headers, then body."""
+    budget = MAX_HEADER_BYTES - len(line)
+    text = line.decode("latin-1").strip()
     if not text:
         raise HttpProtocolError(400, "empty request line")
     parts = text.split()
@@ -181,7 +216,7 @@ async def read_request(
 
     headers: Dict[str, str] = {}
     while True:
-        line = await _read_line(reader, budget, remaining(), "header block")
+        line = await _read_line(reader)
         if not line:
             raise HttpProtocolError(400, "connection closed inside the header block")
         budget -= len(line)
@@ -210,8 +245,9 @@ async def read_request(
             raise HttpProtocolError(
                 413, "body of %d bytes exceeds the %d byte limit" % (length, MAX_BODY_BYTES)
             )
+        timer.what = "body"
         try:
-            body = await _timed(reader.readexactly(length), remaining(), "body")
+            body = await reader.readexactly(length)
         except asyncio.IncompleteReadError:
             raise HttpProtocolError(400, "connection closed inside the body") from None
     elif method in ("PUT", "POST"):

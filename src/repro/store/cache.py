@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigError
 
@@ -175,6 +175,28 @@ class CellCache:
             self._entries.move_to_end(key)
             self._hits += 1
             return array
+
+    def get_all(self, keys: Sequence[Hashable]) -> Optional[List[Any]]:
+        """Every cached value of ``keys`` in order, or ``None`` if any is missing.
+
+        One lock acquisition covers the whole lookup, so the values form
+        one consistent snapshot.  Only a complete hit counts: it refreshes
+        and counts a hit per key, while a partial hit counts nothing and
+        leaves the LRU order alone.  The caller then falls back to
+        :meth:`get` per key, which counts those lookups as usual.
+        """
+        with self._lock:
+            entries = self._entries
+            values: List[Any] = []
+            for key in keys:
+                value = entries.get(key)
+                if value is None:
+                    return None
+                values.append(value)
+            for key in keys:
+                entries.move_to_end(key)
+            self._hits += len(values)
+            return values
 
     def put(self, key: Hashable, array: Any) -> None:
         """Insert ``array`` under ``key``, evicting LRU entries to fit.

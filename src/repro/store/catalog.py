@@ -49,6 +49,8 @@ pagination logic is one code path over :meth:`Catalog.entries`):
 Thread-safety invariant: every public method of every implementation is
 safe to call from multiple threads; mutations are serialised by an
 internal lock and :meth:`Catalog.entries` returns an immutable snapshot.
+Reads never wait on persistence: the map has its own lock, which is
+never held across a journal fsync or a SQLite commit.
 """
 
 from __future__ import annotations
@@ -250,10 +252,17 @@ class Catalog:
     """
 
     def __init__(self) -> None:
+        # Two locks, always taken in this order: ``_persist_lock`` makes
+        # each mutation and its persistence one step, so the journal (or
+        # table) sees mutations in the order they happened; ``_lock``
+        # guards only the map and is never held across disk I/O, so
+        # readers (every store read checks for a tombstone) never wait on
+        # a writer's fsync.
+        self._persist_lock = threading.Lock()
         self._lock = threading.Lock()
         self._entries: Dict[str, CatalogEntry] = {}
 
-    # -- persistence hooks (called with the lock held) ------------------- #
+    # -- persistence hooks (called with ``_persist_lock`` held) ----------- #
 
     def _persist_put(self, entry: CatalogEntry) -> None:
         """Record an upsert (put, tombstone, restore, compaction update)."""
@@ -271,8 +280,8 @@ class Catalog:
         wins over a pending deletion.  Tags of an existing live entry are
         merged (new values win) rather than dropped.
         """
-        with self._lock:
-            prior = self._entries.get(entry.key)
+        with self._persist_lock:
+            prior = self.get(entry.key)
             if prior is not None:
                 merged = dict(prior.tags)
                 merged.update(entry.tag_dict)
@@ -284,9 +293,7 @@ class Catalog:
                     deleted_at=None,
                     purge_after=None,
                 )
-            self._entries[entry.key] = entry
-            self._persist_put(entry)
-            return entry
+            return self._install(entry)
 
     def get(self, key: str) -> Optional[CatalogEntry]:
         with self._lock:
@@ -298,40 +305,43 @@ class Catalog:
         """Stamp a tombstone; the entry stays until the TTL lapses + GC runs."""
         if ttl_seconds < 0:
             raise StoreError("tombstone TTL must be >= 0 seconds, got %r" % ttl_seconds)
-        with self._lock:
-            entry = self._require(key)
+        with self._persist_lock:
             entry = replace(
-                entry, deleted_at=deleted_at, purge_after=deleted_at + ttl_seconds
+                self._require(key),
+                deleted_at=deleted_at,
+                purge_after=deleted_at + ttl_seconds,
             )
-            self._entries[key] = entry
-            self._persist_put(entry)
-            return entry
+            return self._install(entry)
 
     def restore(self, key: str) -> CatalogEntry:
         """Clear a tombstone, making the entry fully live again."""
-        with self._lock:
-            entry = self._require(key)
-            entry = replace(entry, deleted_at=None, purge_after=None)
-            self._entries[key] = entry
-            self._persist_put(entry)
-            return entry
+        with self._persist_lock:
+            entry = replace(self._require(key), deleted_at=None, purge_after=None)
+            return self._install(entry)
 
     def update(self, key: str, **fields: object) -> CatalogEntry:
         """Replace entry fields (the recompaction bookkeeping path)."""
-        with self._lock:
+        with self._persist_lock:
             entry = replace(self._require(key), **fields)  # type: ignore[arg-type]
-            self._entries[key] = entry
-            self._persist_put(entry)
-            return entry
+            return self._install(entry)
 
     def purge(self, key: str) -> None:
         """Hard-remove an entry (the GC endpoint; unknown keys are a no-op)."""
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
+        with self._persist_lock:
+            with self._lock:
+                removed = self._entries.pop(key, None)
+            if removed is not None:
                 self._persist_purge(key)
 
+    def _install(self, entry: CatalogEntry) -> CatalogEntry:
+        """Publish an upsert, then persist it (``_persist_lock`` held)."""
+        with self._lock:
+            self._entries[entry.key] = entry
+        self._persist_put(entry)
+        return entry
+
     def _require(self, key: str) -> CatalogEntry:
-        entry = self._entries.get(key)
+        entry = self.get(key)
         if entry is None:
             raise BlobNotFoundError("no catalog entry for key %r" % key)
         return entry
@@ -490,7 +500,7 @@ class SQLiteCatalog(Catalog):
             self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             self._connection = sqlite3.connect(str(self.path), check_same_thread=False)
-            with self._lock:
+            with self._persist_lock:
                 self._connection.execute(
                     "CREATE TABLE IF NOT EXISTS catalog ("
                     "key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
@@ -522,7 +532,7 @@ class SQLiteCatalog(Catalog):
         self._connection.commit()
 
     def close(self) -> None:
-        with self._lock:
+        with self._persist_lock:
             self._connection.close()
 
 

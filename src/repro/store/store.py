@@ -14,12 +14,19 @@ bytes, and plane/region queries are answered by
    when possible, and otherwise range-reading exactly that cell's bytes,
    CRC-checking them against the index and entropy-decoding them.
 
-A whole-blob fetch only ever happens for :meth:`get` (a full decode) — the
-random-access paths stay proportional to the query, which is what makes
-region-heavy workloads (cumulative-plot scans over stored signal planes,
-cohort-style batched region pulls) cheap.  Batched requests
-(:meth:`get_regions`) dedupe the cell set across regions before touching
-the backend, so overlapping regions cost one decode per distinct cell.
+Every read, a full :meth:`get` included, goes through those cells, so
+its cost is proportional to the query and its cells stay warm for the
+next one — which is what makes region-heavy workloads (cumulative-plot
+scans over stored signal planes, cohort-style batched region pulls)
+cheap.  Batched requests (:meth:`get_regions`) dedupe the cell set across
+regions before touching the backend, so overlapping regions cost one
+decode per distinct cell.
+
+Reads also have a **memory-only mode** (``cached_only=True``) for
+callers that must not block, such as the serving tier's event loop: it
+answers from the memoized header and the decoded tier alone and raises
+:class:`~repro.exceptions.NotCachedError` instead of reading the backend,
+decoding or waiting on a lock that disk I/O holds.
 
 Beside the blobs the store keeps a **metadata catalog**
 (:mod:`repro.store.catalog`): one entry per stream recorded at ``put``
@@ -40,7 +47,8 @@ tags) that powers ``repro-store ls`` queries and the data-plane lifecycle:
 Concurrency invariants the serving tier relies on:
 
 * every read path (**get/get_plane/get_region/get_regions**) *pins* its
-  key for the duration of the operation; :meth:`purge_if_unpinned` and
+  key for the duration of the operation (the memory-only mode excepted,
+  see :meth:`ImageStore._read`); :meth:`purge_if_unpinned` and
   :meth:`swap_stream` refuse to act on a pinned key, and a pin taken
   after a swap observes the fresh header and cells (the swap invalidates
   the memoized header and every cached cell of the key atomically with
@@ -85,13 +93,12 @@ from repro.core.cellgrid import (
     DecodedSelection,
     assemble_selection,
     decode_one_cell,
-    decode_selection,
     encode_grid,
     select_cells,
 )
 from repro.core.config import CodecConfig
 from repro.core.decoder import resolve_stream_config
-from repro.exceptions import BlobNotFoundError, StoreError
+from repro.exceptions import BlobNotFoundError, NotCachedError, StoreError
 from repro.imaging.image import GrayImage
 from repro.imaging.planar import PlanarImage
 from repro.store.backends import BlobBackend, open_backend
@@ -109,9 +116,17 @@ from repro.store.catalog import (
     open_catalog,
 )
 
-__all__ = ["ImageStore"]
+__all__ = ["MEMORY_READ_MAX_SAMPLES", "ImageStore"]
 
 _CellKey = Tuple[str, int, int]
+
+#: Largest read, in assembled samples over all planes, that the
+#: memory-only mode serves; larger reads raise ``NotCachedError`` even
+#: when every cell is cached.  It bounds how long one memory-only read
+#: holds up its caller (the serving tier's event loop): a warm
+#: 512x512x3 region, exactly this size, is assembled and rendered to
+#: Netpbm in ~1.7 ms on a 2-CPU VM.
+MEMORY_READ_MAX_SAMPLES = 512 * 512 * 3
 
 
 class ImageStore:
@@ -163,7 +178,8 @@ class ImageStore:
     * **Reads pin their key.**  All read paths hold a per-key refcount
       for their duration; :meth:`purge_if_unpinned` (the GC sweep) and
       :meth:`swap_stream` (the compactor) take the same lock, so a
-      pinned key is never purged or swapped mid-read.
+      pinned key is never purged or swapped mid-read.  Memory-only reads
+      (``cached_only=True``) touch no blob and take no pin.
     * **Soft deletion is two-phase.**  :meth:`soft_delete` stamps a
       tombstone (reads answer :class:`BlobNotFoundError`, the blob
       stays); only an expired tombstone is purged, by an explicit sweep.
@@ -486,7 +502,7 @@ class ImageStore:
                 % key
             )
 
-    def header(self, key: str) -> StreamHeader:
+    def header(self, key: str, cached_only: bool = False) -> StreamHeader:
         """The stream's parsed header + index, fetched by range read.
 
         Memoized per key: serving N regions of a hot blob parses its
@@ -497,10 +513,13 @@ class ImageStore:
         process doing periodic header refreshes) probe with the known
         length directly.  A stale hint (the blob was swapped for one with
         longer tables) is detected by the same shortfall check and
-        corrected in place.
+        corrected in place.  With ``cached_only`` an unmemoized header
+        raises :class:`NotCachedError` instead of being fetched.
         """
         header = self._headers.get(key)
         if header is None:
+            if cached_only:
+                raise NotCachedError("the header of %s is not memoized" % key)
             probe_length = self._prefix_lengths.get(key, TABLE_PROBE_LENGTH)
             probe = self.backend.read_range(key, 0, probe_length)
             prefix_length = table_prefix_length(probe)
@@ -516,23 +535,22 @@ class ImageStore:
     # ------------------------------------------------------------------ #
 
     def get(
-        self, key: str, include_deleted: bool = False
+        self, key: str, include_deleted: bool = False, cached_only: bool = False
     ) -> Union[GrayImage, PlanarImage]:
-        """Full decode of a stored stream (the cold, whole-blob path)."""
-        with self._pin(key):
-            self._check_visible(key, include_deleted)
-            return decode_selection(
-                self.backend.get(key), self.config, engine=self.engine
-            ).image()
+        """Decode a whole stored stream: every plane, every stripe."""
+        [selection] = self._read(key, [None], None, include_deleted, cached_only)
+        return selection.image()
 
     def get_plane(
-        self, key: str, plane: int, include_deleted: bool = False
+        self,
+        key: str,
+        plane: int,
+        include_deleted: bool = False,
+        cached_only: bool = False,
     ) -> GrayImage:
         """Decode one component plane straight off the stored index."""
-        with self._pin(key):
-            self._check_visible(key, include_deleted)
-            [selection] = self._get_regions_pinned(key, [None], planes=(plane,))
-            return selection.plane_image(plane)
+        [selection] = self._read(key, [None], (plane,), include_deleted, cached_only)
+        return selection.plane_image(plane)
 
     def get_region(
         self,
@@ -540,12 +558,13 @@ class ImageStore:
         stripe_range: Tuple[int, int],
         planes: Optional[Sequence[int]] = None,
         include_deleted: bool = False,
+        cached_only: bool = False,
     ) -> Union[GrayImage, PlanarImage]:
         """Decode the rows covered by stripes ``[start, stop)``, and only those."""
-        with self._pin(key):
-            self._check_visible(key, include_deleted)
-            [selection] = self._get_regions_pinned(key, [stripe_range], planes=planes)
-            return selection.image()
+        [selection] = self._read(
+            key, [stripe_range], planes, include_deleted, cached_only
+        )
+        return selection.image()
 
     def get_regions(
         self,
@@ -560,27 +579,51 @@ class ImageStore:
         overlapping regions fetch and decode each cell exactly once even
         on a cold cache.
         """
+        return [
+            selection.image()
+            for selection in self._read(key, stripe_ranges, None, include_deleted)
+        ]
+
+    def _read(
+        self,
+        key: str,
+        stripe_ranges: Sequence[Optional[Tuple[int, int]]],
+        planes: Optional[Sequence[int]],
+        include_deleted: bool,
+        cached_only: bool = False,
+    ) -> List[DecodedSelection]:
+        """Every read: the tombstone check, then the regions through the cells.
+
+        A read pins ``key`` for its duration.  A ``cached_only`` read does
+        not: :meth:`purge_if_unpinned` and :meth:`swap_stream` hold the
+        pin lock across backend I/O, and this mode must never wait on it.
+        It needs no pin either, as it never touches the blob; a swap
+        racing it is caught by the header check in :meth:`_cached_cells`.
+        """
+        if cached_only:
+            self._check_visible(key, include_deleted)
+            return self._get_regions_pinned(key, stripe_ranges, planes, cached_only)
         with self._pin(key):
             self._check_visible(key, include_deleted)
-            return [
-                selection.image()
-                for selection in self._get_regions_pinned(key, stripe_ranges)
-            ]
+            return self._get_regions_pinned(key, stripe_ranges, planes)
 
     def _get_regions_pinned(
         self,
         key: str,
         stripe_ranges: Sequence[Optional[Tuple[int, int]]],
         planes: Optional[Sequence[int]] = None,
+        cached_only: bool = False,
     ) -> List[DecodedSelection]:
         """Every region read: (planes, stripe-range) queries through the cache + index.
 
         A ``None`` stripe range selects every stripe; ``planes=None`` every
         plane.  The distinct cells of all queries are resolved once, then
-        each query's cells are joined per plane and assembled.
+        each query's cells are joined per plane and assembled.  With
+        ``cached_only`` the cells come from :meth:`_cached_cells`, and a
+        read of more than :data:`MEMORY_READ_MAX_SAMPLES` samples raises
+        :class:`NotCachedError`.
         """
-        header = self.header(key)
-        config = resolve_stream_config(header, self.config)
+        header = self.header(key, cached_only)
         selections = [
             select_cells(header, planes, stripe_range) for stripe_range in stripe_ranges
         ]
@@ -591,9 +634,21 @@ class ImageStore:
                 for spec in plan:
                     by_spec[spec.index] = spec
                     wanted.setdefault((plane, spec.index), None)
-        cells = self._resolve_cells(
-            key, header, config, [(plane, by_spec[stripe]) for plane, stripe in wanted]
-        )
+        specs = [(plane, by_spec[stripe]) for plane, stripe in wanted]
+        if cached_only:
+            samples = header.width * sum(
+                len(needed) * sum(spec.row_count for spec in plan)
+                for plan, _requested, needed in selections
+            )
+            if samples > MEMORY_READ_MAX_SAMPLES:
+                raise NotCachedError(
+                    "a read of %d samples exceeds the memory-only budget of %d"
+                    % (samples, MEMORY_READ_MAX_SAMPLES)
+                )
+            cells = self._cached_cells(key, header, specs)
+        else:
+            config = resolve_stream_config(header, self.config)
+            cells = self._resolve_cells(key, header, config, specs)
         results: List[DecodedSelection] = []
         for plan, requested, needed in selections:
             rows = sum(spec.row_count for spec in plan)
@@ -602,6 +657,29 @@ class ImageStore:
                 np.concatenate([cells[(plane, spec.index)] for spec in plan], out=out)
             results.append(assemble_selection(header, plan, requested, needed, residuals))
         return results
+
+    def _cached_cells(
+        self, key: str, header: StreamHeader, cells
+    ) -> Dict[Tuple[int, int], np.ndarray]:
+        """The memory-only :meth:`_resolve_cells`: one all-or-nothing lookup.
+
+        The decoded tier answers every (plane, spec) cell under a single
+        lock acquisition, or nothing is served and nothing is counted.
+        The cells must also belong to ``header``: a swap replaces the
+        memoized header object before any cell of the new container can
+        be cached, so a header still in place after the lookup vouches for
+        them.  ``cell_hook`` runs once per served cell, as on every read.
+        """
+        arrays = self.cache.get_all([(key, plane, spec.index) for plane, spec in cells])
+        if arrays is None or self._headers.get(key) is not header:
+            raise NotCachedError("not every cell of the read of %s is cached" % key)
+        hook = self.cell_hook
+        if hook is not None:
+            for _cell in cells:
+                hook()
+        return {
+            (plane, spec.index): array for (plane, spec), array in zip(cells, arrays)
+        }
 
     def _resolve_cells(
         self, key: str, header: StreamHeader, config: CodecConfig, cells

@@ -16,14 +16,25 @@ from repro.serve.http import (
 )
 
 
-def _parse(raw: bytes):
+def _parse(raw: bytes, **timeouts):
     """Feed raw bytes to the parser through a real StreamReader."""
 
     async def run():
         reader = asyncio.StreamReader()
         reader.feed_data(raw)
         reader.feed_eof()
-        return await read_request(reader)
+        return await read_request(reader, **timeouts)
+
+    return asyncio.run(run())
+
+
+def _stall(raw: bytes, **timeouts):
+    """Parse ``raw`` from a peer that then goes quiet (no EOF)."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        return await read_request(reader, **timeouts)
 
     return asyncio.run(run())
 
@@ -100,6 +111,92 @@ class TestRequestParsing:
         with pytest.raises(HttpProtocolError) as excinfo:
             _parse(b"PUT /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
         assert excinfo.value.status == 501
+
+
+class TestReadTimeouts:
+    """One timer per request bounds every read after the request line."""
+
+    def test_stalled_header_block_is_a_408(self):
+        with pytest.raises(HttpProtocolError) as excinfo:
+            _stall(b"GET /x HTTP/1.1\r\nHost: a\r\n", read_timeout=0.05)
+        assert excinfo.value.status == 408
+        assert "header block" in str(excinfo.value)
+
+    def test_stalled_body_is_a_408(self):
+        with pytest.raises(HttpProtocolError) as excinfo:
+            _stall(b"PUT /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nabc", read_timeout=0.05)
+        assert excinfo.value.status == 408
+        assert "body" in str(excinfo.value)
+
+    def test_idle_connection_lapses_like_an_eof(self):
+        assert _stall(b"", idle_timeout=0.05, read_timeout=5.0) is None
+
+    def test_the_budget_covers_the_whole_request_not_each_line(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /x HTTP/1.1\r\n")
+
+            async def trickle():
+                for _ in range(6):  # each line well inside the budget
+                    await asyncio.sleep(0.03)
+                    reader.feed_data(b"X-Slow: 1\r\n")
+
+            feeder = asyncio.ensure_future(trickle())
+            try:
+                return await read_request(reader, read_timeout=0.1)
+            finally:
+                feeder.cancel()
+
+        with pytest.raises(HttpProtocolError) as excinfo:
+            asyncio.run(run())
+        assert excinfo.value.status == 408
+
+    def test_outside_cancellation_stays_a_cancellation(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /x HTTP/1.1\r\n")
+            task = asyncio.ensure_future(
+                read_request(reader, read_timeout=30.0, idle_timeout=30.0)
+            )
+            await asyncio.sleep(0.01)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(run())
+
+    def test_no_cancellation_is_left_behind(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"GET /x HTTP/1.1\r\nHost: a\r\n\r\n")
+            request = await read_request(reader, read_timeout=0.02, idle_timeout=0.02)
+            await asyncio.sleep(0.05)  # past both budgets: nothing may fire
+            reader.feed_data(b"GET /y HTTP/1.1\r\n")  # then the peer stalls
+            with pytest.raises(HttpProtocolError):
+                await read_request(reader, read_timeout=0.02)
+            await asyncio.sleep(0.01)  # after a 408 the task is still usable
+            return request
+
+        assert asyncio.run(run()).path == "/x"
+
+    def test_bare_lf_lines_parse(self):
+        request = _parse(b"GET /x HTTP/1.1\nHost: a\nX-Two: 2\n\n", read_timeout=5.0)
+        assert request.headers == {"host": "a", "x-two": "2"}
+
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            (b"GET /x HTTP/1.1\r\nX-Long: " + b"a" * (2**16 + 1) + b"\r\n\r\n", 431),
+            (b"GET /x HTTP/1.1\r\nbroken header\r\n\r\n", 400),
+            (b"PUT /x HTTP/1.1\r\n\r\n", 411),
+            (b"PUT /x HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), 413),
+            (b"PUT /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+        ],
+    )
+    def test_statuses_hold_with_timeouts_set(self, raw, status):
+        with pytest.raises(HttpProtocolError) as excinfo:
+            _parse(raw, read_timeout=5.0, idle_timeout=5.0)
+        assert excinfo.value.status == status
 
 
 class TestResponseRendering:

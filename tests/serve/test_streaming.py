@@ -53,6 +53,16 @@ def gray_key(server):
 
 
 @pytest.fixture(scope="module")
+def cold_gray_key(server):
+    """A key no other test reads, so none of its cells is cached."""
+    image = generate_image("boat", size=48, seed=11)
+    buffer = io.BytesIO()
+    write_pgm(image, buffer)
+    with ServeClient(*server.address) as client:
+        return client.put_image(buffer.getvalue(), stripes=6)["key"]
+
+
+@pytest.fixture(scope="module")
 def color_key(server):
     image = generate_planar_image("peppers", size=30, seed=9, planes=3)
     buffer = io.BytesIO()
@@ -114,10 +124,12 @@ class TestRegionStream:
         # The connection survives both error responses.
         assert client.healthz()["status"] == "ok"
 
-    def test_deadline_abort_truncates_the_stream(self, server, gray_key):
+    def test_deadline_abort_truncates_the_stream(self, server, cold_gray_key):
+        # A warm stream is answered from memory well inside 1 ms; the cold
+        # key's stripes must decode, which the budget cannot cover.
         with ServeClient(*server.address, deadline_ms=1) as tight:
             with pytest.raises(ServeError):
-                tight.get_region_stream(gray_key, 0, 6)
+                tight.get_region_stream(cold_gray_key, 0, 6)
         with ServeClient(*server.address) as observer:
             stats = observer.stats()
         # Either the plan offload answered 504 before the status line, or

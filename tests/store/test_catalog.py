@@ -10,6 +10,7 @@ on a tag no entry carries.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -287,3 +288,57 @@ class TestPersistence:
         connection.close()
         with pytest.raises(StoreError, match="corrupt catalog row"):
             SQLiteCatalog(path)
+
+
+class TestReadsNeverWaitOnPersistence:
+    def test_get_returns_while_a_persist_is_blocked(self):
+        entered = threading.Event()
+        release = threading.Event()
+
+        class StalledCatalog(MemoryCatalog):
+            def _persist_put(self, entry):
+                entered.set()
+                assert release.wait(10)
+
+        catalog = StalledCatalog()
+        release.set()
+        catalog.record_put(_entry("a"))
+        entered.clear()
+        release.clear()
+        writer = threading.Thread(target=catalog.mark_deleted, args=("a", 1.0))
+        writer.start()
+        try:
+            assert entered.wait(5), "the persist hook never ran"
+            seen = []
+            reader = threading.Thread(target=lambda: seen.append(catalog.get("a")))
+            reader.start()
+            reader.join(2)
+            assert not reader.is_alive(), "get waited on the blocked persist"
+            assert seen[0] is not None and seen[0].key == "a"
+        finally:
+            release.set()
+            writer.join(5)
+        assert catalog.get("a").deleted
+
+    def test_concurrent_mutations_journal_in_mutation_order(self, tmp_path):
+        path = tmp_path / "catalog.jsonl"
+        catalog = JournalCatalog(path, rewrite_factor=1)
+        keys = ["k%d" % index for index in range(4)]
+        for key in keys:
+            catalog.record_put(_entry(key))
+
+        def churn(key: str) -> None:
+            for round_number in range(40):
+                catalog.mark_deleted(key, float(round_number))
+                catalog.restore(key)
+                catalog.update(key, encoded_bytes=round_number)
+            if key == keys[0]:
+                catalog.purge(key)
+
+        threads = [threading.Thread(target=churn, args=(key,)) for key in keys]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+        # Replaying the journal (rewrites included) gives the live state.
+        assert JournalCatalog(path).entries() == catalog.entries()

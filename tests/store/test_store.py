@@ -8,14 +8,20 @@ are observably equivalent to sequential ones.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro.store.store as store_module
+from repro.core.cellgrid import decode_selection, select_cells
 from repro.core.components import decode_plane, decode_region, encode_planar
 from repro.core.bitstream import CodecId, pack_stream
 from repro.exceptions import (
     BitstreamError,
     BlobNotFoundError,
     ConfigError,
+    NotCachedError,
+    ReproError,
     StoreError,
 )
 from repro.imaging.synthetic import generate_image, generate_planar_image
@@ -230,3 +236,142 @@ class TestCacheAdmissionOnTheServingPath:
         assert set(store.cache.keys()) == hot_keys
         assert store.cache_stats.evictions == 0
         store.close()
+
+
+def _outcome(call):
+    """A read's image, or the type of the library error it raised."""
+    try:
+        return call()
+    except ReproError as error:
+        return type(error)
+
+
+class _UntouchableBackend:
+    """Stands in for the backend of a read that must not touch it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("the backend was touched (%s)" % name)
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["v1", "v2", "v3"])
+def versioned(request, store):
+    """(store, key, image) for one container version, through ``put``."""
+    if request.param == 3:
+        image = generate_planar_image("peppers", size=20, seed=2)
+    else:
+        image = generate_image("boat", size=20, seed=2)
+    key = store.put(image, stripes=1 if request.param == 1 else 3)
+    assert store.header(key).version == request.param
+    return store, key, image
+
+
+class TestFullReadsThroughCells:
+    def test_get_equals_the_whole_blob_decode(self, versioned):
+        store, key, image = versioned
+        whole = decode_selection(store.backend.get(key)).image()
+        got = store.get(key)
+        assert type(got) is type(whole)
+        assert got == whole == image
+        # Every cell is now in the decoded tier.
+        assert store.get(key, cached_only=True) == image
+
+    def test_get_never_fetches_the_whole_blob(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        store._headers.clear()
+        store.cache.clear()
+        store.backend.get = None  # poison the whole-blob path
+        assert store.get(key) == rgb_image
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip_payload", "flip_header"])
+    def test_corrupt_blobs_fail_as_the_whole_blob_decode_did(self, versioned, damage):
+        store, key, _ = versioned
+        data = bytearray(store.backend.get(key))
+        if damage == "truncate":
+            data = data[:-1]
+        elif damage == "flip_payload":
+            data[store.header(key).payload_offset + 3] ^= 0xFF
+        else:
+            data[10] ^= 0xFF  # the height field
+        store.backend.put(key, bytes(data))
+        store._drop_cached(key)
+        expected = _outcome(lambda: decode_selection(bytes(data)).image())
+        assert _outcome(lambda: store.get(key)) == expected
+
+
+class TestMemoryOnlyReads:
+    def test_warm_reads_answer_without_the_backend(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        expected = (store.get(key), store.get_plane(key, 1), store.get_region(key, (1, 3)))
+        backend, store.backend = store.backend, _UntouchableBackend()
+        try:
+            assert store.get(key, cached_only=True) == expected[0]
+            assert store.get_plane(key, 1, cached_only=True) == expected[1]
+            assert store.get_region(key, (1, 3), cached_only=True) == expected[2]
+        finally:
+            store.backend = backend
+
+    def test_unmemoized_header_is_not_fetched(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        store.get(key)
+        store._headers.clear()
+        backend, store.backend = store.backend, _UntouchableBackend()
+        try:
+            with pytest.raises(NotCachedError):
+                store.get_region(key, (0, 1), cached_only=True)
+            with pytest.raises(NotCachedError):
+                store.header(key, cached_only=True)
+        finally:
+            store.backend = backend
+
+    def test_partial_hit_counts_nothing(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        store.get_region(key, (0, 2))
+        before = store.cache_stats
+        with pytest.raises(NotCachedError):
+            store.get_region(key, (0, 4), cached_only=True)
+        after = store.cache_stats
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        store.get_region(key, (0, 4))
+        # The blocking read then counts as it always did: 2 stripes x 3
+        # planes cached, 2 x 3 decoded.
+        final = store.cache_stats
+        assert (final.hits - after.hits, final.misses - after.misses) == (6, 6)
+
+    def test_a_complete_hit_counts_each_cell_once(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        store.get_region(key, (1, 3))
+        before = store.cache_stats
+        store.get_region(key, (1, 3), cached_only=True)
+        after = store.cache_stats
+        assert (after.hits - before.hits, after.misses - before.misses) == (6, 0)
+
+    def test_reads_over_the_sample_budget_are_declined(self, store, rgb_image, monkeypatch):
+        key = store.put(rgb_image, stripes=4)
+        store.get(key)
+        one_stripe = 6 * 24 * 3  # rows x width x planes
+        monkeypatch.setattr(store_module, "MEMORY_READ_MAX_SAMPLES", one_stripe)
+        assert store.get_region(key, (0, 1), cached_only=True) == store.get_region(key, (0, 1))
+        with pytest.raises(NotCachedError):
+            store.get_region(key, (0, 2), cached_only=True)
+
+    def test_tombstoned_key_is_not_found_even_when_cached(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        store.get(key)
+        store.soft_delete(key)
+        with pytest.raises(BlobNotFoundError):
+            store.get_region(key, (0, 1), cached_only=True)
+
+    def test_bad_stripe_range_is_a_config_error(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        with pytest.raises(ConfigError):
+            store.get_region(key, (3, 9), cached_only=True)
+
+    def test_cells_of_a_replaced_header_are_not_served(self, store, rgb_image):
+        key = store.put(rgb_image, stripes=4)
+        store.get(key)
+        header = store.header(key)
+        # What a swap leaves behind: a new header object for the key.
+        store._headers[key] = dataclasses.replace(header)
+        plan, _, needed = select_cells(header, None, (0, 1))
+        with pytest.raises(NotCachedError):
+            store._cached_cells(key, header, [(plane, plan[0]) for plane in needed])
