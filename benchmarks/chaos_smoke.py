@@ -17,7 +17,11 @@ failure modes the production-hardening layer exists for:
   killing a key's primary owner must not fail a single read (the
   surviving replica answers, surfaced in the ``/stats`` failover
   counters), and the failover must not poison the cell cache or
-  single-flight map;
+  single-flight map.  The same drill runs again under the multi-process
+  topology with one worker per shard: SIGKILLing the primary's only
+  worker (kept down by a long restart backoff) leaves no sibling worker
+  to absorb the fault, so the proxy itself must fail over to the
+  replica shard;
 * **worker-process kill** — the multi-process topology (shard worker
   processes behind the routing proxy, replication 2): SIGKILLing one
   worker must not fail a single read, and the supervisor must respawn
@@ -229,12 +233,59 @@ def main(argv: Optional[List[str]] = None) -> int:
         finally:
             handle.stop()
 
-    # --- Worker-process kill (proc topology, replication 2) -----------
     import os
     import signal
 
     from repro.serve.proxy import ProxyService, start_proxy_thread
     from repro.serve.worker import WorkerSpec, WorkerSupervisor
+
+    # --- Replica failover, proc topology (one worker per shard) -------
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-r2-proc-") as root:
+        from pathlib import Path
+
+        specs = [
+            WorkerSpec(shard_name="shard-%02d" % i, store_path=Path(root) / ("shard-%02d" % i))
+            for i in range(2)
+        ]
+        # The backoff outlasts the reads, so the killed worker stays down.
+        supervisor = WorkerSupervisor(
+            specs, workers_per_shard=1, restart_backoff=args.budget
+        ).start()
+        handle = start_proxy_thread(ProxyService(supervisor, replication=2))
+        try:
+            client = ServeClient(*handle.address)
+            image = generate_planar_image("lena", size=args.size, seed=4250, planes=3)
+            buffer = io.BytesIO()
+            write_ppm(image, buffer)
+            outcome = client.put_image(buffer.getvalue(), stripes=4)
+            key, primary = str(outcome["key"]), str(outcome["shard"])
+            victim = client.stats()["workers"][primary][0]
+            os.kill(int(victim["pid"]), signal.SIGKILL)
+            group = next(g for g in supervisor.groups if g.shard_name == primary)
+            assert group.workers[0].wait(10.0), "SIGKILLed worker did not exit"
+            failed = 0
+            for stripe in range(4):
+                try:
+                    assert client.get_region(key, stripe, stripe + 1).height > 0
+                except BaseException:
+                    failed += 1
+            assert failed == 0, (
+                "%d read(s) failed with the primary's only worker down" % failed
+            )
+            failovers = client.stats()["server"]["counters"].get("failovers", 0)
+            assert failovers >= 1, (
+                "expected proxy failover reads in /stats, counter is %d" % failovers
+            )
+            print(
+                "chaos-smoke: SIGKILLed the only worker of primary %s, %d proxy "
+                "failover read(s) kept every request whole" % (primary, failovers)
+            )
+            client.close()
+            check_budget("proc-failover")
+        finally:
+            handle.stop()
+
+    # --- Worker-process kill (proc topology, replication 2) -----------
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-proc-") as root:
         from pathlib import Path

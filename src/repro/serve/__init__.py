@@ -18,8 +18,8 @@ concurrent clients over N :class:`~repro.store.store.ImageStore` shards:
   (:mod:`repro.serve.deadline`);
 * **replication + failover** — each key lives on the top-R rendezvous
   winners; writes fan out to every owner and reads fail over between
-  replicas, preferring ones believed healthy
-  (:mod:`repro.serve.health`);
+  replicas, preferring ones believed healthy — one policy for both
+  topologies (:mod:`repro.serve.replicas`, :mod:`repro.serve.health`);
 * **live resharding** — growing N shards to N+1 is an operation, not a
   restart: a background migrator copies the moved key fraction while
   reads consult both old and new owners (:mod:`repro.serve.reshard`);

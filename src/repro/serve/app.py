@@ -7,8 +7,9 @@ Request path, layer by layer::
         -> memory-only read             (_serve: warm reads, on the loop)
         -> single-flight map            (flight.py: coalesce identical reads)
           -> thread-pool offload        (CPU-bound entropy decodes off the loop)
-            -> StoreRouter              (router.py: rendezvous shard pick)
-              -> ImageStore             (store/: cache + range reads + CRC)
+            -> replica policy           (replicas.py: owner order + failover)
+              -> StoreRouter            (router.py: rendezvous shard pick)
+                -> ImageStore           (store/: cache + range reads + CRC)
 
 Three properties keep the event loop responsive under load:
 
@@ -157,6 +158,7 @@ from repro.serve.http import (
     render_response,
     render_stream_head,
 )
+from repro.serve.replicas import Replicas
 from repro.serve.reshard import Resharder
 from repro.serve.router import StoreRouter
 from repro.serve.routes import (
@@ -170,7 +172,7 @@ from repro.serve.routes import (
     version_payload,
 )
 from repro.serve.stats import ServerStats
-from repro.store.catalog import CatalogFilter
+from repro.store.catalog import CatalogEntry, CatalogFilter
 from repro.store.store import ImageStore
 
 __all__ = [
@@ -179,6 +181,7 @@ __all__ = [
     "ReproServer",
     "ServerHandle",
     "StreamingBody",
+    "encode_body",
     "start_server_thread",
 ]
 
@@ -221,6 +224,27 @@ def image_to_netpbm(image: Union[GrayImage, PlanarImage]) -> Tuple[bytes, str]:
         write_pgm(image, buffer)
         kind = "pgm"
     return buffer.getvalue(), _CONTENT_TYPES[kind]
+
+
+def encode_body(
+    body: bytes, engine: str, stripes: int, plane_delta: bool
+) -> Tuple[bytes, bool]:
+    """A PUT body as the container to store, plus whether it was encoded here.
+
+    Routing needs the content key, which is the hash of the *encoded*
+    stream, so a Netpbm body is encoded before any owner is picked; a
+    ready container passes through untouched.
+    """
+    if not body:
+        raise ConfigError("PUT body is empty — expected a Netpbm image or container")
+    if body[:2] not in _NETPBM_MAGICS:
+        return body, False
+    image = read_image(io.BytesIO(body))
+    config = CodecConfig.hardware(bit_depth=image.bit_depth)
+    stream, _ = encode_grid(
+        image, config, engine=engine, stripes=stripes, plane_delta=plane_delta
+    )
+    return stream, True
 
 
 class StreamingBody:
@@ -289,6 +313,7 @@ class ImageService:
         self.resharder: Optional[Resharder] = None
         self.flight = SingleFlight()
         self.stats = ServerStats()
+        self.replicas = Replicas(self.router, self.health, self.stats)
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -332,51 +357,14 @@ class ImageService:
         return self.flight.run(key, supplier, timeout=timeout)
 
     def _read_replicas(self, key: str, reader: Callable[[ImageStore], _T]) -> _T:
-        """Run ``reader`` against ``key``'s owners, failing over in order.
+        """Run ``reader`` against ``key``'s owners under the replica policy.
 
-        Owners come from the router in rendezvous-score order (the union
-        of old and new memberships mid-reshard) and are reordered so
-        believed-healthy shards go first; a down shard is a last resort,
-        never skipped outright.  A :class:`StoreError` fails over to the
-        next replica (counted per shard in ``/stats``); a
-        :class:`BlobNotFoundError` also moves on — the key may not have
-        been replicated or migrated there yet — and only becomes the
-        answer when *every* owner misses.  Deadline expiry aborts the
-        loop (a stalled replica must not consume the followers' budget
-        too).  This helper runs *inside* the single-flight supplier, so
-        coalesced followers share the failed-over result rather than a
-        poisoned error.
+        :mod:`repro.serve.replicas` orders the owners, fails over and
+        decides the answer.  This runs *inside* the single-flight
+        supplier, so coalesced followers share the failed-over result
+        rather than a poisoned error.
         """
-        candidates = self.health.prefer_healthy(self.router.owners(key))
-        context = current_context()
-        not_found: Optional[BlobNotFoundError] = None
-        failure: Optional[StoreError] = None
-        for position, (name, store) in enumerate(candidates):
-            if position and context is not None:
-                context.check("replica failover")
-            try:
-                value = reader(store)
-            except BlobNotFoundError as error:
-                # The shard answered; it just has no such blob (yet).
-                self.health.record_success(name)
-                not_found = error
-                continue
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                self.health.record_failure(name)
-                self.stats.bump("failovers")
-                self.stats.bump_shard(name, "failovers")
-                failure = error
-                continue
-            self.health.record_success(name)
-            return value
-        if failure is not None:
-            # At least one owner was unreadable — the blob may live there,
-            # so a 404 would lie; surface the store failure instead.
-            raise failure
-        assert not_found is not None
-        raise not_found
+        return self.replicas.run(key, reader, reading=True, context=current_context())[0][1]
 
     def _memory_read(self, key: str, reader: Callable[[ImageStore], _T]) -> _T:
         """Run a ``cached_only`` ``reader`` on the owner :meth:`_read_replicas` tries first.
@@ -386,7 +374,7 @@ class ImageService:
         raises :class:`NotCachedError`, so that the blocking read, with
         its replica failover, gives the answer.
         """
-        _name, store = self.health.prefer_healthy(self.router.owners(key))[0]
+        _name, store = self.replicas.owners(key)[0]
         try:
             return reader(store)
         except BlobNotFoundError:
@@ -422,55 +410,31 @@ class ImageService:
         Returns the routing outcome: content key, owning shard, stored
         byte count and whether the service encoded the body itself.
         """
-        if not body:
-            raise ConfigError("PUT body is empty — expected a Netpbm image or container")
-        encoded = body[:2] in _NETPBM_MAGICS
-        if encoded:
-            image = read_image(io.BytesIO(body))
-            config = CodecConfig.hardware(bit_depth=image.bit_depth)
-            stream, _ = encode_grid(
-                image,
-                config,
-                engine=self._engine(),
-                stripes=stripes if stripes is not None else self.default_stripes,
-                plane_delta=plane_delta,
-            )
-        else:
-            stream = body
-        # Routing needs the content key, which is the hash of the encoded
-        # stream — so hash first, then fan the bytes out to every owner.
+        stream, encoded = encode_body(
+            body,
+            self._engine(),
+            self.default_stripes if stripes is None else stripes,
+            plane_delta,
+        )
         key = hashlib.sha256(stream).hexdigest()
-        replicas: List[str] = []
-        failure: Optional[StoreError] = None
-        for name, store in self.router.owners(key):
+
+        def put(store: ImageStore) -> str:
             try:
-                stored_key = store.put_stream(stream)
+                return store.put_stream(stream)
             except BitstreamError as error:
                 # The *request* carried the bad bytes — a client error,
                 # unlike a BitstreamError surfacing from storage on the
                 # read paths — and it is equally bad on every shard.
                 raise ConfigError("request body is not a valid container: %s" % error)
-            except StoreError as error:
-                # A down replica must not fail the write while another
-                # owner can take it; read failover heals the gap after
-                # the shard revives.
-                self.health.record_failure(name)
-                self.stats.bump("write_failovers")
-                self.stats.bump_shard(name, "write_failovers")
-                failure = error
-                continue
-            self.health.record_success(name)
-            assert stored_key == key
-            replicas.append(name)
-        if not replicas:
-            assert failure is not None
-            raise failure
+
+        stored = self.replicas.run(key, put, reading=False)
+        assert all(stored_key == key for _name, stored_key in stored)
         return {
             "key": key,
             "shard": self.router.shard_name(key),
             "bytes": len(stream),
             "encoded": encoded,
-            "replicas": replicas,
+            "replicas": [name for name, _ in stored],
         }
 
     def get_image(self, key: str, cached_only: bool = False) -> Tuple[bytes, str]:
@@ -638,40 +602,20 @@ class ImageService:
         when at least one replica was tombstoned and 404s only when no
         owner ever stored the key.
         """
-        deleted: List[str] = []
-        entry = None
-        not_found: Optional[BlobNotFoundError] = None
-        failure: Optional[StoreError] = None
-        for name, store in self.router.owners(key):
-            try:
-                if ttl is None:
-                    entry = store.soft_delete(key)
-                else:
-                    entry = store.soft_delete(key, ttl_seconds=ttl)
-            except BlobNotFoundError as error:
-                self.health.record_success(name)
-                not_found = error
-                continue
-            except StoreError as error:
-                self.health.record_failure(name)
-                self.stats.bump("write_failovers")
-                self.stats.bump_shard(name, "write_failovers")
-                failure = error
-                continue
-            self.health.record_success(name)
-            deleted.append(name)
-        if not deleted:
-            if failure is not None:
-                raise failure
-            assert not_found is not None
-            raise not_found
-        assert entry is not None
+
+        def tombstone(store: ImageStore) -> CatalogEntry:
+            if ttl is None:
+                return store.soft_delete(key)
+            return store.soft_delete(key, ttl_seconds=ttl)
+
+        deleted = self.replicas.run(key, tombstone, reading=False)
+        entry = deleted[0][1]
         return {
             "key": key,
             "shard": self.router.shard_name(key),
             "deleted_at": entry.deleted_at,
             "purge_after": entry.purge_after,
-            "replicas": deleted,
+            "replicas": [name for name, _ in deleted],
         }
 
     def version_payload(self) -> Dict[str, object]:

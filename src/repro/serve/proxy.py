@@ -10,16 +10,15 @@ apart request by request.
 
 Placement reuses the exact machinery of the in-process tier:
 :class:`~repro.serve.router.StoreRouter` ranks owner shards per key
-(rendezvous hashing, union membership mid-reshard) and
-:class:`~repro.serve.health.HealthTracker` reorders them by believed
-health — except the "stores" are :class:`RemoteShard` handles that speak
-HTTP over loopback instead of decoding locally.  Reads fail over
-shard-by-shard exactly like :meth:`ImageService._read_replicas` (404
-only when *every* owner missed, a store failure outranks a 404), and
-within one shard a keyed request prefers its affinity worker — the same
-worker every time for a given key, so worker-local caches and
-single-flight coalescing keep working — before trying the shard's other
-workers.
+(rendezvous hashing, union membership mid-reshard) and the replica
+policy of :mod:`repro.serve.replicas` decides which owner answers — the
+same policy the in-process tier runs, except the shards are
+:class:`RemoteShard` handles that speak HTTP over loopback instead of
+decoding locally, and a worker's error reply is classified by its
+envelope code.  Within one shard a keyed request prefers its affinity
+worker — the same worker every time for a given key, so worker-local
+caches and single-flight coalescing keep working — before trying the
+shard's other workers.
 
 What the proxy forwards it forwards **verbatim**: a worker's error
 envelope (with the worker's ``request_id``) and its response bytes pass
@@ -37,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import io
 import json
 import math
 from collections import deque
@@ -55,15 +53,12 @@ from urllib.parse import quote
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.core.cellgrid import encode_grid
-from repro.core.config import CodecConfig
 from repro.exceptions import (
     ConfigError,
     DeadlineExceededError,
     ServeError,
     StoreError,
 )
-from repro.imaging.pnm import read_image
 from repro.serve.admission import (
     DEFAULT_MAX_INFLIGHT,
     AdmissionController,
@@ -75,20 +70,19 @@ from repro.serve.app import (
     ReproServer,
     ServerHandle,
     StreamingBody,
-    _NETPBM_MAGICS,
+    encode_body,
     start_server_thread,
 )
 from repro.serve.client import ServeClient
 from repro.serve.deadline import RequestContext
-from repro.serve.flight import SingleFlight
 from repro.serve.health import HealthTracker
 from repro.serve.http import HttpRequest, json_payload
+from repro.serve.replicas import OwnerReply, Replicas
 from repro.serve.router import StoreRouter
-from repro.serve.routes import version_payload
+from repro.serve.routes import classify_error, version_payload
 from repro.serve.stats import ServerStats
 from repro.serve.worker import WorkerGroup, WorkerProcess, WorkerSupervisor
 from repro.store.catalog import CatalogFilter
-from repro.store.store import ImageStore
 
 __all__ = [
     "ProxyService",
@@ -110,11 +104,21 @@ class WorkerUnreachableError(StoreError):
 
 
 class WorkerReply:
-    """One buffered worker response: status + headers + verbatim body."""
+    """One worker response: status + headers + verbatim body.
+
+    The body is bytes, or — for a chunked 2xx answer read through
+    :meth:`RemoteShard.open_stream` — an async iterator of its de-framed
+    chunk payloads.
+    """
 
     __slots__ = ("status", "headers", "body")
 
-    def __init__(self, status: int, headers: Dict[str, str], body: bytes) -> None:
+    def __init__(
+        self,
+        status: int,
+        headers: Dict[str, str],
+        body: Union[bytes, AsyncIterator[bytes]],
+    ) -> None:
         self.status = status
         self.headers = headers
         self.body = body
@@ -122,6 +126,31 @@ class WorkerReply:
     @property
     def content_type(self) -> str:
         return self.headers.get("content-type", "application/octet-stream")
+
+    def document(self) -> Dict[str, object]:
+        """The buffered body as a JSON object; ``{}`` when it is none."""
+        if isinstance(self.body, bytes):
+            try:
+                document = json.loads(self.body)
+            except (UnicodeDecodeError, json.JSONDecodeError):
+                return {}
+            if isinstance(document, dict):
+                return document
+        return {}
+
+    def answer(self) -> "WorkerReply":
+        """This reply as an owner's answer: itself on success, else raised.
+
+        A non-2xx reply becomes an :class:`~repro.serve.replicas.OwnerReply`
+        carrying the code of the worker's error envelope, which the replica
+        policy classifies like a local exception's.
+        """
+        if self.status < 400:
+            return self
+        code = self.document().get("code")
+        raise OwnerReply(
+            code if isinstance(code, str) else classify_error(self.status), self
+        )
 
 
 def _render_request(
@@ -187,12 +216,12 @@ async def _read_chunk(reader: asyncio.StreamReader) -> Optional[bytes]:
 class RemoteShard:
     """One shard's worker group, spoken to over loopback HTTP.
 
-    Duck-types just enough of :class:`~repro.store.store.ImageStore` for
-    :class:`~repro.serve.router.StoreRouter` to rank it (routing only
-    ever touches shard *names*) and close it.  Keep-alive connections
-    are pooled per worker and tagged with the worker's spawn generation,
-    so a restarted worker's stale sockets are discarded instead of
-    retried.
+    A :class:`~repro.serve.router.Shard`, so
+    :class:`~repro.serve.router.StoreRouter` ranks it exactly like a
+    local store (routing only ever touches shard *names*).  Keep-alive
+    connections are pooled per worker and tagged with the worker's spawn
+    generation, so a restarted worker's stale sockets are discarded
+    instead of retried.
     """
 
     def __init__(
@@ -211,11 +240,6 @@ class RemoteShard:
     @property
     def name(self) -> str:
         return self.group.shard_name
-
-    # -- ImageStore surface the router touches ------------------------- #
-
-    def stats(self) -> Dict[str, object]:  # pragma: no cover - stats overridden
-        return {}
 
     def close(self) -> None:
         for pool in self._pools.values():
@@ -274,41 +298,6 @@ class RemoteShard:
             return []
         return [("x-deadline-ms", "%d" % max(1, int(remaining * 1000)))]
 
-    async def _request_worker(
-        self,
-        worker: WorkerProcess,
-        method: str,
-        target: str,
-        body: bytes,
-        context: Optional[RequestContext],
-    ) -> WorkerReply:
-        payload = _render_request(method, target, body, self._forward_headers(context))
-        for pooled in (True, False):
-            conn = self._checkout(worker) if pooled else None
-            if pooled and conn is None:
-                continue
-            generation = worker.generation
-            if conn is None:
-                reader, writer = await asyncio.open_connection(worker.host, worker.port)
-            else:
-                reader, writer = conn
-            try:
-                writer.write(payload)
-                await writer.drain()
-                status, headers = await _read_head(reader)
-                reply_body = await _read_body(reader, headers)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
-                _close_writer(writer)
-                if conn is not None:
-                    continue  # a stale pooled socket; retry on a fresh one
-                raise
-            if headers.get("connection", "").lower() == "close":
-                _close_writer(writer)
-            else:
-                self._checkin(worker, generation, reader, writer)
-            return WorkerReply(status, headers, reply_body)
-        raise ConnectionError("worker %s has no usable connection" % worker.label)
-
     async def request(
         self,
         method: str,
@@ -317,45 +306,9 @@ class RemoteShard:
         context: Optional[RequestContext] = None,
         key: Optional[str] = None,
     ) -> WorkerReply:
-        """One request against this shard, failing over across its workers.
-
-        Transport failures, timeouts and retryable statuses (a draining
-        or shedding worker: 429/503) move on to the group's next worker;
-        everything else — including worker-side 4xx/500 envelopes — is
-        the shard's answer.  Raises :class:`WorkerUnreachableError` when
-        no worker produced an answer at all.
-        """
-        last_error: Optional[BaseException] = None
-        retryable: Optional[WorkerReply] = None
-        for worker in self.group.candidates(key):
-            budget = self._attempt_budget(context)
-            try:
-                reply = await asyncio.wait_for(
-                    self._request_worker(worker, method, target, body, context),
-                    budget,
-                )
-            except asyncio.TimeoutError:
-                if context is not None and context.deadline.expired:
-                    raise DeadlineExceededError(
-                        "worker call ran past the request deadline"
-                    ) from None
-                last_error = StoreError(
-                    "worker %s did not answer within %.1fs" % (worker.label, budget)
-                )
-                continue
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as error:
-                last_error = error
-                continue
-            if reply.status in (429, 503):
-                retryable = reply
-                continue
-            return reply
-        if retryable is not None:
-            return retryable
-        raise WorkerUnreachableError(
-            "no worker of shard %s answered %s %s (%s)"
-            % (self.name, method, target, last_error)
-        )
+        """:meth:`open_stream` with the whole body read: one buffered reply."""
+        reply = await self.open_stream(method, target, body, context, key)
+        return await _buffered(reply)
 
     async def broadcast(
         self,
@@ -376,12 +329,11 @@ class RemoteShard:
         for worker in self.group.candidates(key):
             try:
                 budget = self._attempt_budget(context)
-                replies.append(
-                    await asyncio.wait_for(
-                        self._request_worker(worker, method, target, body, context),
-                        budget,
-                    )
+                reply = await asyncio.wait_for(
+                    self._open_stream_worker(worker, method, target, body, context),
+                    budget,
                 )
+                replies.append(await _buffered(reply))
             except DeadlineExceededError:
                 raise
             except (
@@ -401,20 +353,25 @@ class RemoteShard:
         body: bytes = b"",
         context: Optional[RequestContext] = None,
         key: Optional[str] = None,
-    ) -> Tuple[int, Dict[str, str], Union[bytes, AsyncIterator[bytes]]]:
-        """A streaming request: the head is read eagerly, the body lazily.
+    ) -> WorkerReply:
+        """One request against this shard, failing over across its workers.
 
-        A chunked 2xx answer returns an async iterator of the *de-framed*
-        chunk payloads (the proxy re-frames them for its own client);
-        anything else is buffered and returned as bytes so error
-        envelopes forward verbatim and failover can keep trying.
+        The head is read eagerly, the body lazily: a chunked 2xx answer
+        carries an async iterator of the *de-framed* chunk payloads (the
+        proxy re-frames them for its own client); anything else is
+        buffered, so error envelopes forward verbatim.  Transport
+        failures, timeouts and retryable statuses (a draining or shedding
+        worker: 429/503) move on to the group's next worker; everything
+        else — including worker-side 4xx/500 envelopes — is the shard's
+        answer.  Raises :class:`WorkerUnreachableError` when no worker
+        produced an answer at all.
         """
         last_error: Optional[BaseException] = None
-        retryable: Optional[Tuple[int, Dict[str, str], bytes]] = None
+        retryable: Optional[WorkerReply] = None
         for worker in self.group.candidates(key):
             budget = self._attempt_budget(context)
             try:
-                opened = await asyncio.wait_for(
+                reply = await asyncio.wait_for(
                     self._open_stream_worker(worker, method, target, body, context),
                     budget,
                 )
@@ -430,11 +387,10 @@ class RemoteShard:
             except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as error:
                 last_error = error
                 continue
-            status, headers, payload = opened
-            if isinstance(payload, bytes) and status in (429, 503):
-                retryable = (status, headers, payload)
+            if isinstance(reply.body, bytes) and reply.status in (429, 503):
+                retryable = reply
                 continue
-            return opened
+            return reply
         if retryable is not None:
             return retryable
         raise WorkerUnreachableError(
@@ -449,7 +405,7 @@ class RemoteShard:
         target: str,
         body: bytes,
         context: Optional[RequestContext],
-    ) -> Tuple[int, Dict[str, str], Union[bytes, AsyncIterator[bytes]]]:
+    ) -> WorkerReply:
         payload = _render_request(method, target, body, self._forward_headers(context))
         for pooled in (True, False):
             conn = self._checkout(worker) if pooled else None
@@ -467,12 +423,12 @@ class RemoteShard:
             except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
                 _close_writer(writer)
                 if conn is not None:
-                    continue
+                    continue  # a stale pooled socket; retry on a fresh one
                 raise
             chunked = headers.get("transfer-encoding", "").lower() == "chunked"
             if status < 300 and chunked:
                 pieces = self._stream_pieces(worker, generation, reader, writer)
-                return status, headers, pieces
+                return WorkerReply(status, headers, pieces)
             try:
                 reply_body = await _read_body(reader, headers)
             except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
@@ -484,7 +440,7 @@ class RemoteShard:
                 _close_writer(writer)
             else:
                 self._checkin(worker, generation, reader, writer)
-            return status, headers, reply_body
+            return WorkerReply(status, headers, reply_body)
         raise ConnectionError("worker %s has no usable connection" % worker.label)
 
     async def _stream_pieces(
@@ -522,6 +478,13 @@ def _close_writer(writer: asyncio.StreamWriter) -> None:
         writer.close()
     except (RuntimeError, OSError):  # pragma: no cover - loop already gone
         pass
+
+
+async def _buffered(reply: WorkerReply) -> WorkerReply:
+    """``reply`` with a streamed body read to the end."""
+    if not isinstance(reply.body, bytes):
+        reply.body = b"".join([piece async for piece in reply.body])
+    return reply
 
 
 def _merge_counters(target: Dict[str, object], source: Dict[str, object]) -> None:
@@ -582,12 +545,11 @@ class ProxyService:
         worker_timeout: float = 30.0,
     ) -> None:
         self.supervisor = supervisor
-        self.remote_shards = [
-            RemoteShard(group, request_timeout=worker_timeout)
-            for group in supervisor.groups
-        ]
         self.router = StoreRouter(
-            cast("List[ImageStore]", self.remote_shards),
+            [
+                RemoteShard(group, request_timeout=worker_timeout)
+                for group in supervisor.groups
+            ],
             supervisor.shard_names,
             replication=replication,
         )
@@ -596,9 +558,8 @@ class ProxyService:
             down_after=health_down_after,
             up_after=health_up_after,
         )
-        self.resharder = None
-        self.flight = SingleFlight()  # unused for data; kept for surface parity
         self.stats = ServerStats()
+        self.replicas = Replicas(self.router, self.health, self.stats)
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-proxy"
         )
@@ -616,39 +577,11 @@ class ProxyService:
         self.read_timeout = read_timeout
         self.idle_timeout = idle_timeout
         self.drain_budget = drain_budget
-        self.worker_timeout = worker_timeout
 
     def close(self) -> None:
         self.executor.shutdown(wait=True)
         self.router.close()
         self.supervisor.stop()
-
-    # -- the proxy's own blocking work (runs on its executor) ----------- #
-
-    def encode_body(
-        self, body: bytes, stripes: Optional[int], plane_delta: bool
-    ) -> Tuple[bytes, bool]:
-        """A PUT body as the container to fan out, plus whether we encoded.
-
-        Routing needs the content key before any worker is picked, and
-        the key is the hash of the *encoded* stream — so Netpbm bodies
-        are encoded here at the proxy, exactly as the in-process service
-        would, and only ready containers travel to the owners.
-        """
-        if not body:
-            raise ConfigError("PUT body is empty — expected a Netpbm image or container")
-        if body[:2] in _NETPBM_MAGICS:
-            image = read_image(io.BytesIO(body))
-            config = CodecConfig.hardware(bit_depth=image.bit_depth)
-            stream, _ = encode_grid(
-                image,
-                config,
-                engine=self.engine_name,
-                stripes=stripes if stripes is not None else self.default_stripes,
-                plane_delta=plane_delta,
-            )
-            return stream, True
-        return body, False
 
     def version_payload(self) -> Dict[str, object]:
         return version_payload()
@@ -798,7 +731,7 @@ class ReproProxy(ReproServer):
         super().__init__(cast(ImageService, service), host, port)
         self.proxy_service = service
 
-    # -- shard-level forwarding with replica failover -------------------- #
+    # -- forwarding under the replica policy ----------------------------- #
 
     async def _forward(
         self,
@@ -807,113 +740,32 @@ class ReproProxy(ReproServer):
         method: str,
         target: str,
         body: bytes = b"",
-    ) -> WorkerReply:
-        """Forward one keyed read, failing over across owner shards.
-
-        Mirrors :meth:`ImageService._read_replicas`: owners in rendezvous
-        order reordered healthy-first, an unreachable or erroring shard
-        moves on to the next owner, a 404 only becomes the answer when
-        every owner missed, and a shard-level failure outranks a 404.
-        """
-        service = self.proxy_service
-        candidates = service.health.prefer_healthy(service.router.owners(key))
-        not_found: Optional[WorkerReply] = None
-        failure: Optional[WorkerReply] = None
-        unreachable: Optional[StoreError] = None
-        for position, (name, shard) in enumerate(candidates):
-            if position:
-                context.check("replica failover")
-            remote = cast(RemoteShard, shard)
-            try:
-                reply = await remote.request(
-                    method, target, body=body, context=context, key=key
-                )
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                service.health.record_failure(name)
-                service.stats.bump("failovers")
-                service.stats.bump_shard(name, "failovers")
-                unreachable = error
-                continue
-            if reply.status == 404:
-                service.health.record_success(name)
-                not_found = reply
-                continue
-            if reply.status >= 500:
-                service.health.record_failure(name)
-                service.stats.bump("failovers")
-                service.stats.bump_shard(name, "failovers")
-                failure = reply
-                continue
-            service.health.record_success(name)
-            return reply
-        if failure is not None:
-            return failure
-        if unreachable is not None:
-            raise unreachable
-        assert not_found is not None
-        return not_found
-
-    async def _forward_stream(
-        self,
-        context: RequestContext,
-        key: str,
-        method: str,
-        target: str,
-        body: bytes = b"",
+        stream: bool = False,
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        """Forward a ``?stream=1`` request, passing chunks through as-is.
+        """Forward one keyed read to the owner the replica policy settles on.
 
-        Failover happens *before* the first chunk: once a worker's 200
-        head is accepted the stream is committed, and a mid-stream worker
-        death aborts the client's stream (truncated chunked body) exactly
-        as an in-process decode failure would.
+        A ``stream`` read passes a worker's chunks through as they
+        arrive.  Failover happens *before* the first chunk: once a
+        worker's 200 head is accepted the stream is committed, and a
+        mid-stream worker death aborts the client's stream (truncated
+        chunked body) exactly as an in-process decode failure would.
         """
-        service = self.proxy_service
-        candidates = service.health.prefer_healthy(service.router.owners(key))
-        not_found: Optional[Tuple[int, bytes, str]] = None
-        failure: Optional[Tuple[int, bytes, str]] = None
-        unreachable: Optional[StoreError] = None
-        for position, (name, shard) in enumerate(candidates):
-            if position:
-                context.check("replica failover")
-            remote = cast(RemoteShard, shard)
-            try:
-                status, headers, payload = await remote.open_stream(
-                    method, target, body=body, context=context, key=key
-                )
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                service.health.record_failure(name)
-                service.stats.bump("failovers")
-                service.stats.bump_shard(name, "failovers")
-                unreachable = error
-                continue
-            content_type = headers.get("content-type", "application/octet-stream")
-            if isinstance(payload, bytes):
-                if status == 404:
-                    service.health.record_success(name)
-                    not_found = (status, payload, content_type)
-                    continue
-                if status >= 500:
-                    service.health.record_failure(name)
-                    service.stats.bump("failovers")
-                    service.stats.bump_shard(name, "failovers")
-                    failure = (status, payload, content_type)
-                    continue
-                service.health.record_success(name)
-                return status, payload, content_type
-            service.health.record_success(name)
-            streaming = StreamingBody(payload, self._stream_release(context))
-            return status, streaming, content_type
-        if failure is not None:
-            return failure
-        if unreachable is not None:
-            raise unreachable
-        assert not_found is not None
-        return not_found
+
+        async def read(shard: RemoteShard) -> WorkerReply:
+            send = shard.open_stream if stream else shard.request
+            reply = await send(method, target, body=body, context=context, key=key)
+            return reply.answer()
+
+        replicas = self.proxy_service.replicas
+        try:
+            taken = await replicas.arun(key, read, reading=True, context=context)
+        except OwnerReply as error:
+            return _verbatim(error)
+        reply = taken[0][1]
+        if isinstance(reply.body, bytes):
+            return reply.status, reply.body, reply.content_type
+        streaming = StreamingBody(reply.body, self._stream_release(context))
+        return reply.status, streaming, reply.content_type
 
     # -- data-plane handlers (the only overrides) ------------------------ #
 
@@ -921,56 +773,33 @@ class ReproProxy(ReproServer):
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         service = self.proxy_service
+        stripes = self._int_query(request, "stripes")
         stream, encoded = await self._offload(
             context,
-            service.encode_body,
+            encode_body,
             request.body,
-            self._int_query(request, "stripes"),
+            service.engine_name,
+            service.default_stripes if stripes is None else stripes,
             self._flag_query(request, "plane_delta"),
         )
         key = hashlib.sha256(stream).hexdigest()
-        replicas: List[str] = []
-        failure: Optional[WorkerReply] = None
-        unreachable: Optional[StoreError] = None
-        for name, shard in service.router.owners(key):
-            remote = cast(RemoteShard, shard)
-            try:
-                reply = await remote.request(
-                    "PUT", "/images", body=stream, context=context, key=key
-                )
-            except DeadlineExceededError:
-                raise
-            except StoreError as error:
-                service.health.record_failure(name)
-                service.stats.bump("write_failovers")
-                service.stats.bump_shard(name, "write_failovers")
-                unreachable = error
-                continue
-            if reply.status == 201:
-                service.health.record_success(name)
-                replicas.append(name)
-                continue
-            if 400 <= reply.status < 500:
-                # The request itself is bad — equally bad on every owner;
-                # the worker's envelope forwards verbatim.
-                return reply.status, reply.body, reply.content_type
-            service.health.record_failure(name)
-            service.stats.bump("write_failovers")
-            service.stats.bump_shard(name, "write_failovers")
-            failure = reply
-        if not replicas:
-            if failure is not None:
-                return failure.status, failure.body, failure.content_type
-            raise StoreError(
-                "no worker of any owner shard accepted key %s (%s)"
-                % (key, unreachable)
+
+        async def put(shard: RemoteShard) -> WorkerReply:
+            reply = await shard.request(
+                "PUT", "/images", body=stream, context=context, key=key
             )
+            return reply.answer()
+
+        try:
+            stored = await service.replicas.arun(key, put, reading=False, context=context)
+        except OwnerReply as error:
+            return _verbatim(error)
         outcome = {
             "key": key,
             "shard": service.router.shard_name(key),
             "bytes": len(stream),
             "encoded": encoded,
-            "replicas": replicas,
+            "replicas": [name for name, _ in stored],
         }
         return 201, json_payload(outcome), "application/json"
 
@@ -985,58 +814,34 @@ class ReproProxy(ReproServer):
         target = "/images/" + quote(key, safe="")
         if ttl is not None:
             target += "?ttl=%s" % ttl
-        deleted: List[str] = []
-        entry: Optional[Dict[str, object]] = None
-        not_found: Optional[WorkerReply] = None
-        failure: Optional[WorkerReply] = None
-        unreachable = False
-        for name, shard in service.router.owners(key):
-            remote = cast(RemoteShard, shard)
+
+        async def tombstone(shard: RemoteShard) -> WorkerReply:
             # Broadcast: every worker of the group keeps its own catalog,
             # and the tombstone must land in all of them or a failover
             # read through a sibling worker would resurrect the key.
-            replies = await remote.broadcast(
-                "DELETE", target, context=context, key=key
-            )
+            replies = await shard.broadcast("DELETE", target, context=context, key=key)
             if not replies:
-                service.health.record_failure(name)
-                service.stats.bump("write_failovers")
-                service.stats.bump_shard(name, "write_failovers")
-                unreachable = True
-                continue
-            succeeded = [reply for reply in replies if reply.status == 200]
-            if succeeded:
-                service.health.record_success(name)
-                deleted.append(name)
-                if entry is None:
-                    try:
-                        entry = json.loads(succeeded[0].body.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError):
-                        entry = None
-                continue
-            if all(reply.status == 404 for reply in replies):
-                service.health.record_success(name)
-                not_found = replies[0]
-                continue
-            service.health.record_failure(name)
-            service.stats.bump("write_failovers")
-            service.stats.bump_shard(name, "write_failovers")
-            failure = replies[0]
-        if not deleted:
-            if failure is not None:
-                return failure.status, failure.body, failure.content_type
-            if not_found is not None:
-                return not_found.status, not_found.body, not_found.content_type
-            assert unreachable
-            raise StoreError(
-                "no worker of any owner shard answered the delete of %s" % key
-            )
+                raise WorkerUnreachableError(
+                    "no worker of shard %s answered the delete of %s" % (shard.name, key)
+                )
+            for reply in replies:
+                if reply.status == 200:
+                    return reply
+            # Nothing was tombstoned: a worker's error outranks a miss.
+            errors = [reply for reply in replies if reply.status != 404]
+            return (errors or replies)[0].answer()
+
+        try:
+            deleted = await service.replicas.arun(key, tombstone, reading=False, context=context)
+        except OwnerReply as error:
+            return _verbatim(error)
+        entry = deleted[0][1].document()
         payload = {
             "key": key,
             "shard": service.router.shard_name(key),
-            "deleted_at": None if entry is None else entry.get("deleted_at"),
-            "purge_after": None if entry is None else entry.get("purge_after"),
-            "replicas": deleted,
+            "deleted_at": entry.get("deleted_at"),
+            "purge_after": entry.get("purge_after"),
+            "replicas": [name for name, _ in deleted],
         }
         return 200, json_payload(payload), "application/json"
 
@@ -1044,18 +849,14 @@ class ReproProxy(ReproServer):
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         key = str(params["key"])
-        reply = await self._forward(
-            context, key, "GET", "/images/" + quote(key, safe="")
-        )
-        return reply.status, reply.body, reply.content_type
+        return await self._forward(context, key, "GET", "/images/" + quote(key, safe=""))
 
     async def _handle_get_plane(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         key = str(params["key"])
         target = "/images/%s/plane/%d" % (quote(key, safe=""), cast(int, params["plane"]))
-        reply = await self._forward(context, key, "GET", target)
-        return reply.status, reply.body, reply.content_type
+        return await self._forward(context, key, "GET", target)
 
     async def _handle_get_region(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
@@ -1064,9 +865,8 @@ class ReproProxy(ReproServer):
         start, stop = cast(Tuple[int, int], params["range"])
         target = "/images/%s/region/%d-%d" % (quote(key, safe=""), start, stop)
         if self._flag_query(request, "stream"):
-            return await self._forward_stream(context, key, "GET", target + "?stream=1")
-        reply = await self._forward(context, key, "GET", target)
-        return reply.status, reply.body, reply.content_type
+            return await self._forward(context, key, "GET", target + "?stream=1", stream=True)
+        return await self._forward(context, key, "GET", target)
 
     async def _handle_get_regions(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
@@ -1074,11 +874,16 @@ class ReproProxy(ReproServer):
         key = str(params["key"])
         target = "/images/%s/regions" % quote(key, safe="")
         if self._flag_query(request, "stream"):
-            return await self._forward_stream(
-                context, key, "POST", target + "?stream=1", body=request.body
+            return await self._forward(
+                context, key, "POST", target + "?stream=1", body=request.body, stream=True
             )
-        reply = await self._forward(context, key, "POST", target, body=request.body)
-        return reply.status, reply.body, reply.content_type
+        return await self._forward(context, key, "POST", target, body=request.body)
+
+
+def _verbatim(error: OwnerReply) -> Tuple[int, Union[bytes, StreamingBody], str]:
+    """A worker's error reply that became the answer, forwarded untouched."""
+    reply = cast(WorkerReply, error.reply)
+    return reply.status, cast(bytes, reply.body), reply.content_type
 
 
 def start_proxy_thread(

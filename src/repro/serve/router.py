@@ -13,8 +13,7 @@ Two generalisations of the single-owner scheme live here:
 * **Replication factor R** — :meth:`StoreRouter.shards_for` returns the
   top-R rendezvous winners in score order.  Writes go to every owner;
   reads try owners in score order and fail over to the next replica when
-  one is down (the failover loop itself lives in
-  :class:`~repro.serve.app.ImageService`).
+  one is down (that policy lives in :mod:`repro.serve.replicas`).
 * **Joining membership** — during a live reshard
   (:mod:`repro.serve.reshard`) the router carries one *joining* shard:
   :meth:`owners` returns the owner set under the **union** of the old and
@@ -25,18 +24,33 @@ Two generalisations of the single-owner scheme live here:
 
 Image keys are already SHA-256 content hashes, so scores distribute
 uniformly and shards stay balanced without virtual nodes.
+
+Routing only ever reads shard *names*, so the router is generic over its
+shards (:class:`Shard`): local :class:`~repro.store.store.ImageStore`
+objects in-process, :class:`~repro.serve.proxy.RemoteShard` worker groups
+behind the proxy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Generic, Iterator, List, Optional, Protocol, Sequence, Set, Tuple, TypeVar
 
 from repro.exceptions import ConfigError
 from repro.store.store import ImageStore
 
-__all__ = ["StoreRouter", "rendezvous_score", "rendezvous_shard"]
+__all__ = ["Shard", "StoreRouter", "rendezvous_score", "rendezvous_shard"]
+
+
+class Shard(Protocol):
+    """What a router needs of a shard: placement reads only its name."""
+
+    def close(self) -> None:
+        """Release the shard's files or connections."""
+
+
+S = TypeVar("S", bound=Shard)
 
 
 def rendezvous_score(shard_name: str, key: str) -> int:
@@ -65,13 +79,14 @@ def _ranked(shard_names: Sequence[str], key: str) -> List[str]:
     )
 
 
-class StoreRouter:
-    """Route content keys across a set of named image-store shards.
+class StoreRouter(Generic[S]):
+    """Route content keys across a set of named shards.
 
     Parameters
     ----------
     stores:
-        One opened :class:`ImageStore` per shard.
+        One opened shard per name: an :class:`ImageStore`, or a
+        :class:`~repro.serve.proxy.RemoteShard` behind the proxy.
     names:
         Stable shard names (they are the hash inputs, so renaming a shard
         moves its keys).  Default: ``shard-00`` .. ``shard-NN``.
@@ -88,7 +103,7 @@ class StoreRouter:
 
     def __init__(
         self,
-        stores: Sequence[ImageStore],
+        stores: Sequence[S],
         names: Sequence[str] = (),
         replication: int = 1,
     ) -> None:
@@ -104,7 +119,7 @@ class StoreRouter:
             raise ConfigError("shard names must be unique, got %r" % (list(names),))
         if replication < 1:
             raise ConfigError("replication factor must be >= 1, got %d" % replication)
-        self._stores: List[ImageStore] = list(stores)
+        self._stores: List[S] = list(stores)
         self._names: List[str] = list(names)
         self._replication = replication
         self._lock = threading.Lock()
@@ -115,7 +130,7 @@ class StoreRouter:
         with self._lock:
             return len(self._stores)
 
-    def __iter__(self) -> Iterator[ImageStore]:
+    def __iter__(self) -> Iterator[S]:
         return iter(self.stores)
 
     @property
@@ -124,7 +139,7 @@ class StoreRouter:
             return list(self._names)
 
     @property
-    def stores(self) -> List[ImageStore]:
+    def stores(self) -> List[S]:
         with self._lock:
             return list(self._stores)
 
@@ -139,7 +154,7 @@ class StoreRouter:
         with self._lock:
             return self._joining
 
-    def _snapshot(self) -> Tuple[List[str], Dict[str, ImageStore], Optional[str]]:
+    def _snapshot(self) -> Tuple[List[str], Dict[str, S], Optional[str]]:
         with self._lock:
             return (
                 list(self._names),
@@ -174,13 +189,13 @@ class StoreRouter:
         names, _, _ = self._snapshot()
         return names[rendezvous_shard(names, key)]
 
-    def store_for(self, key: str) -> ImageStore:
-        """The primary :class:`ImageStore` for ``key`` (single-owner view)."""
+    def store_for(self, key: str) -> S:
+        """The primary shard for ``key`` (single-owner view)."""
         names, by_name, _ = self._snapshot()
         return by_name[names[rendezvous_shard(names, key)]]
 
-    def owners(self, key: str) -> List[Tuple[str, ImageStore]]:
-        """Every (name, store) that owns ``key``, best score first.
+    def owners(self, key: str) -> List[Tuple[str, S]]:
+        """Every (name, shard) that owns ``key``, best score first.
 
         Under stable membership this is the top-R rendezvous winners.
         While a reshard is in flight it is the **union** of the owners
@@ -190,24 +205,19 @@ class StoreRouter:
         a reader may look.
         """
         names, by_name, joining = self._snapshot()
-        owner_names: Set[str] = set(
-            _ranked(names, key)[: min(self._replication, len(names))]
-        )
+        ranked = _ranked(names, key)
+        owner_names: Set[str] = set(ranked[: self._replication])
         if joining is not None:
-            previous = [name for name in names if name != joining]
-            if previous:
-                owner_names.update(
-                    _ranked(previous, key)[: min(self._replication, len(previous))]
-                )
-        return [
-            (name, by_name[name]) for name in _ranked(names, key) if name in owner_names
-        ]
+            # Dropping a shard leaves the others' rendezvous order as it was.
+            previous = [name for name in ranked if name != joining]
+            owner_names.update(previous[: self._replication])
+        return [(name, by_name[name]) for name in ranked if name in owner_names]
 
     # ------------------------------------------------------------------ #
     # live resharding membership
     # ------------------------------------------------------------------ #
 
-    def begin_reshard(self, store: ImageStore, name: str) -> None:
+    def begin_reshard(self, store: S, name: str) -> None:
         """Add ``store`` as a joining shard (N -> N+1 live reshard).
 
         Placement immediately includes the new shard, but until
@@ -239,7 +249,7 @@ class StoreRouter:
     # enumeration and diagnostics
     # ------------------------------------------------------------------ #
 
-    def keys(self) -> Iterator[str]:
+    def keys(self: "StoreRouter[ImageStore]") -> Iterator[str]:
         """Every distinct key stored across all shards.
 
         Replication and mid-migration resharding legitimately place the
@@ -253,7 +263,7 @@ class StoreRouter:
                     seen.add(key)
                     yield key
 
-    def stats(self) -> List[Dict[str, object]]:
+    def stats(self: "StoreRouter[ImageStore]") -> List[Dict[str, object]]:
         """Per-shard backend + cache counters, routing name included."""
         names, by_name, joining = self._snapshot()
         return [

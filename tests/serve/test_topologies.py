@@ -5,7 +5,9 @@ in-process (``thread``) or as shard worker processes behind the routing
 proxy (``proc``).  A parameterized fixture runs the e2e suite against
 each topology, and the parity class drives *every* route of the table
 against both servers at once, comparing status, envelope code and — for
-deterministic routes — the exact body bytes.
+deterministic routes — the exact body bytes.  The fault-parity class
+breaks replicas the same way under both topologies and expects the
+same answers, since one replica policy decides them.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from repro.imaging.pnm import write_ppm
 from repro.imaging.synthetic import generate_planar_image
 from repro.serve.app import ImageService, start_server_thread
+from repro.serve.chaos import FaultInjector
 from repro.serve.cli import shard_paths
 from repro.serve.client import ServeClient
 from repro.serve.proxy import ProxyService, start_proxy_thread
@@ -254,3 +257,128 @@ class TestRouteTableParity:
                 assert doc_a["error"] == doc_b["error"], label
             else:
                 assert set(doc_a) <= set(doc_b), label
+
+
+# --------------------------------------------------------------------- #
+# fault parity: broken replicas answer the same under both topologies
+# --------------------------------------------------------------------- #
+
+
+class _Replicated:
+    """A 2-shard server of one topology, with handles to break its shards."""
+
+    def __init__(self, topology, root, replication):
+        self.topology = topology
+        self.root = root
+        paths = shard_paths(root, SHARDS, "fs")
+        if topology == "thread":
+            stores = [ImageStore.open(path) for path in paths]
+            service = ImageService(stores, replication=replication)
+            self.handle = start_server_thread(service)
+            self.injectors = dict(
+                zip(service.router.names, (s.wrap_backend(FaultInjector) for s in stores))
+            )
+            return
+        specs = [
+            WorkerSpec(shard_name="shard-%02d" % index, store_path=path)
+            for index, path in enumerate(paths)
+        ]
+        # A restart backoff longer than any test: a killed worker stays down.
+        self.supervisor = WorkerSupervisor(
+            specs, workers_per_shard=1, restart_backoff=600.0
+        ).start()
+        self.handle = start_proxy_thread(
+            ProxyService(self.supervisor, replication=replication)
+        )
+
+    def put(self, seed):
+        image = generate_planar_image("lena", size=24, seed=seed, planes=3)
+        return _raw(self.handle.address, "PUT", "/images?stripes=4", _ppm_bytes(image))
+
+    def cut(self, name):
+        """Make shard ``name`` unreachable: dead backend, or its only worker dead."""
+        if self.topology == "thread":
+            self.injectors[name].kill()
+            return
+        group = next(g for g in self.supervisor.groups if g.shard_name == name)
+        worker = group.workers[0]
+        worker.kill()
+        assert worker.wait(10.0)
+
+    def corrupt(self, name, key):
+        """Flip the last payload byte of ``key``'s blob on shard ``name``."""
+        path = next((self.root / name).rglob(key + ".rplc"))
+        data = bytearray(path.read_bytes())
+        data[-1] ^= 0xFF
+        path.write_bytes(bytes(data))
+
+    def counters(self):
+        with ServeClient(*self.handle.address) as client:
+            return client.stats()["server"]["counters"]
+
+
+@pytest.fixture(params=["thread", "proc"])
+def replicated(request, tmp_path):
+    """Boot a :class:`_Replicated` server per call; all stop at teardown."""
+    booted = []
+
+    def boot(replication=2):
+        server = _Replicated(request.param, tmp_path / ("r%d" % len(booted)), replication)
+        booted.append(server)
+        return server
+
+    yield boot
+    for server in booted:
+        server.handle.stop()
+
+
+class TestFaultParity:
+    """Replica faults, answered alike by the in-process tier and the proxy."""
+
+    def test_corrupt_primary_replica_fails_over(self, replicated):
+        server = replicated()
+        status, _, body = server.put(seed=61)
+        assert status == 201
+        outcome = json.loads(body)
+        key = outcome["key"]
+        server.corrupt(outcome["shard"], key)
+        status, _, payload = _raw(server.handle.address, "GET", "/images/" + key)
+        assert status == 200, payload
+        assert server.counters().get("failovers", 0) >= 1
+
+    def test_corrupt_only_replica_answers_500_with_the_crc_error(self, replicated):
+        server = replicated(replication=1)
+        outcome = json.loads(server.put(seed=62)[2])
+        key = outcome["key"]
+        server.corrupt(outcome["shard"], key)
+        status, _, payload = _raw(server.handle.address, "GET", "/images/" + key)
+        assert status == 500
+        envelope = json.loads(payload)
+        assert envelope["code"] == "internal"
+        assert "CRC mismatch" in envelope["error"]
+
+    def test_missing_key_with_an_owner_down_is_upstream_unhealthy(self, replicated):
+        server = replicated()
+        server.cut("shard-00")
+        target = "/images/" + "0" * 64
+        for method in ("GET", "DELETE"):
+            status, _, payload = _raw(server.handle.address, method, target)
+            assert status == 503, (method, payload)
+            assert json.loads(payload)["code"] == "upstream_unhealthy", method
+
+    def test_put_lands_on_the_live_owner(self, replicated):
+        server = replicated()
+        server.cut("shard-00")
+        status, _, body = server.put(seed=63)
+        assert status == 201, body
+        assert json.loads(body)["replicas"] == ["shard-01"]
+        assert server.counters().get("write_failovers", 0) == 1
+
+    def test_every_owner_down_is_503(self, replicated):
+        server = replicated()
+        key = json.loads(server.put(seed=64)[2])["key"]
+        server.cut("shard-00")
+        server.cut("shard-01")
+        status, _, payload = _raw(server.handle.address, "GET", "/images/" + key)
+        assert status == 503, payload
+        assert server.put(seed=65)[0] == 503
