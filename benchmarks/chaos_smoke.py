@@ -21,7 +21,10 @@ failure modes the production-hardening layer exists for:
   topology with one worker per shard: SIGKILLing the primary's only
   worker (kept down by a long restart backoff) leaves no sibling worker
   to absorb the fault, so the proxy itself must fail over to the
-  replica shard;
+  replica shard.  A health prober runs over the proxy throughout: the
+  dead primary must show in ``/healthz`` ``shards_down``, and once the
+  smoke respawns its worker it must leave that list with only reads
+  flowing;
 * **worker-process kill** — the multi-process topology (shard worker
   processes behind the routing proxy, replication 2): SIGKILLing one
   worker must not fail a single read, and the supervisor must respawn
@@ -236,6 +239,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import os
     import signal
 
+    from repro.serve.health import HealthProber
     from repro.serve.proxy import ProxyService, start_proxy_thread
     from repro.serve.worker import WorkerSpec, WorkerSupervisor
 
@@ -251,9 +255,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         supervisor = WorkerSupervisor(
             specs, workers_per_shard=1, restart_backoff=args.budget
         ).start()
-        handle = start_proxy_thread(ProxyService(supervisor, replication=2))
+        service = ProxyService(supervisor, replication=2)
+        handle = start_proxy_thread(service)
+        prober = HealthProber(service.router, service.health, interval=0.2).start()
         try:
             client = ServeClient(*handle.address)
+
+            def shards_down() -> List[str]:
+                return client.healthz().get("shards_down", [])
+
             image = generate_planar_image("lena", size=args.size, seed=4250, planes=3)
             buffer = io.BytesIO()
             write_ppm(image, buffer)
@@ -280,9 +290,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "chaos-smoke: SIGKILLed the only worker of primary %s, %d proxy "
                 "failover read(s) kept every request whole" % (primary, failovers)
             )
+            give_up = time.monotonic() + 10.0
+            while primary not in shards_down():
+                if time.monotonic() > give_up:
+                    raise SystemExit("FAIL: /healthz never listed the dead primary %s" % primary)
+                assert client.get_region(key, 0, 1).height > 0
+            group.workers[0].spawn(supervisor.spawn_timeout)
+            respawned = time.monotonic()
+            while primary in shards_down():
+                if time.monotonic() > respawned + 10.0:
+                    raise SystemExit(
+                        "FAIL: respawned primary %s stayed in shards_down on reads alone"
+                        % primary
+                    )
+                assert client.get_region(key, 0, 1).height > 0
+            print(
+                "chaos-smoke: /healthz listed the dead primary, and the prober "
+                "saw it rejoin %.1fs after its respawn" % (time.monotonic() - respawned)
+            )
             client.close()
             check_budget("proc-failover")
         finally:
+            prober.stop()
             handle.stop()
 
     # --- Worker-process kill (proc topology, replication 2) -----------

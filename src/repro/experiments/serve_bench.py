@@ -14,7 +14,9 @@ serving regimes end to end:
 * **stampede** — ``stampede_clients`` threads released by a barrier onto
   one region of a freshly stored image: the single-flight map must
   collapse the herd into at most a couple of backend decodes (asserted by
-  ``benchmarks/test_serve_latency.py`` at <= 2);
+  ``benchmarks/test_serve_latency.py`` at <= 2).  The image's shard reads
+  through a fixed injected latency for this phase, so the leader's read
+  outlasts the herd's arrival and the followers do join its flight;
 * **streaming** — the same warm multi-cell region fetched buffered and
   chunk-streamed back to back: the streamed response's time to first byte
   must beat the buffered response's full-assembly total (the streamed
@@ -24,7 +26,8 @@ serving regimes end to end:
 the encoded-bytes cache tier: with the decoded cache disabled (every
 region read pays its entropy decodes) and a fault-injected slow backend,
 the encoded tier answers repeat reads from memory while the decoded-only
-baseline pays the backend latency every time.
+baseline pays the backend latency every time.  The two stores' reads
+alternate, so a change of machine speed mid-run hits both alike.
 
 Percentiles are exact (client-side samples, not histogram buckets).  With
 ``duration`` set the warm phase becomes a soak: the loop runs for that
@@ -56,6 +59,13 @@ from repro.serve.app import ImageService, start_server_thread
 from repro.serve.chaos import FaultInjector
 from repro.serve.client import ServeClient
 from repro.store.store import ImageStore
+
+#: Backend latency injected on the stampede key's shard during the
+#: stampede phase: it keeps the leader's read in flight while the
+#: barrier-released herd reaches the server (without it, on a loaded
+#: host, the leader's decode could finish first and the event loop would
+#: answer every follower from memory, coalescing none).
+STAMPEDE_BACKEND_LATENCY_S = 0.05
 
 __all__ = [
     "EncodedTierBenchResult",
@@ -410,9 +420,11 @@ def run_serve_bench(
             write_pgm(gray, buffer)
             # Two stripes -> one half-image cell: the leader's decode stays
             # in flight long enough for the herd to actually coalesce.
-            stampede_key = str(
-                client.put_image(buffer.getvalue(), stripes=2)["key"]
-            )
+            stored = client.put_image(buffer.getvalue(), stripes=2)
+            stampede_key = str(stored["key"])
+            stampede_store = stores[service.router.names.index(str(stored["shard"]))]
+            injector = stampede_store.wrap_backend(FaultInjector)
+            injector.add_latency(STAMPEDE_BACKEND_LATENCY_S)
             misses_before = _shard_misses(client)
             coalesced_before = int(client.stats()["flight"]["coalesced"])
             barrier = threading.Barrier(stampede_clients)
@@ -442,6 +454,7 @@ def run_serve_bench(
                 thread.start()
             for thread in herd:
                 thread.join()
+            stampede_store.backend = injector.inner
             if failures:
                 raise failures[0]
             result.stampede_backend_decodes = _shard_misses(client) - misses_before
@@ -767,34 +780,36 @@ def run_encoded_tier_bench(
         repeats=repeats,
         injected_latency_ms=injected_latency_ms,
     )
-    for variant in ("encoded", "decoded-only"):
-        with tempfile.TemporaryDirectory(prefix="repro-encoded-bench-") as root:
+    with tempfile.TemporaryDirectory(prefix="repro-encoded-bench-") as root:
+        variants = {}
+        for variant, encoded_cache_bytes in (("encoded", 32 << 20), ("decoded-only", 0)):
             store = ImageStore.open(
-                "%s/store" % root,
+                "%s/%s" % (root, variant),
                 cache_bytes=0,
-                encoded_cache_bytes=(32 << 20) if variant == "encoded" else 0,
+                encoded_cache_bytes=encoded_cache_bytes,
             )
             injector = FaultInjector(store.backend)
             store.backend = injector
             key = store.put_stream(data)
             injector.add_latency(injected_latency_ms / 1e3)
             store.get_region(key, (0, stripes))  # prime the encoded tier
-
-            ops_before = injector.stats()["chaos"]["operations"]
-            samples = (
-                result.encoded_samples_ms
-                if variant == "encoded"
-                else result.decoded_only_samples_ms
-            )
-            for _ in range(repeats):
+            variants[variant] = (store, injector, injector.stats()["chaos"]["operations"])
+        samples = {
+            "encoded": result.encoded_samples_ms,
+            "decoded-only": result.decoded_only_samples_ms,
+        }
+        for _ in range(repeats):
+            for variant, (store, _, _) in variants.items():
                 begin = time.perf_counter()
                 store.get_region(key, (0, stripes))
-                samples.append(1e3 * (time.perf_counter() - begin))
-            ops_during = injector.stats()["chaos"]["operations"] - ops_before
-            if variant == "encoded":
-                result.encoded_backend_ops = ops_during
-                result.encoded_hits = store.encoded_cache.stats.hits
-            else:
-                result.decoded_only_backend_ops = ops_during
+                samples[variant].append(1e3 * (time.perf_counter() - begin))
+        operations = {
+            variant: injector.stats()["chaos"]["operations"] - before
+            for variant, (_, injector, before) in variants.items()
+        }
+        result.encoded_backend_ops = operations["encoded"]
+        result.decoded_only_backend_ops = operations["decoded-only"]
+        result.encoded_hits = variants["encoded"][0].encoded_cache.stats.hits
+        for store, _, _ in variants.values():
             store.close()
     return result

@@ -47,7 +47,9 @@ degrades instead of buckling:
   cannot pin the pool;
 * **graceful drain** — :meth:`ReproServer.drain` stops accepting, lets
   in-flight requests finish within a budget and then closes lingering
-  connections; ``repro-serve`` wires it to SIGTERM and exits 0.
+  connections; :func:`serve_until_sigterm`, the one lifecycle of
+  ``repro-serve`` (either topology) and of each shard worker, wires it
+  to SIGTERM and exits 0.
 
 ``/healthz`` and ``/stats`` bypass admission and rate limits: an operator
 must be able to observe an overloaded server.
@@ -83,6 +85,12 @@ and every error response carries the structured envelope
 The catalog endpoints go through the same admission control, deadlines
 and stats accounting as the data path — a catalog scan cannot bypass the
 watermarks.
+
+Everything above the data plane — statistics, admission, client limits,
+the pool, shard health, the replica policy, the settings and the
+control-plane documents — is :class:`BaseService`, which both
+topologies' services extend: :class:`ImageService` here, and the routing
+proxy's :class:`~repro.serve.proxy.ProxyService`.
 """
 
 from __future__ import annotations
@@ -93,14 +101,18 @@ import hashlib
 import io
 import json
 import math
+import signal
 import socket
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
+    Any,
     AsyncIterator,
     Callable,
     Dict,
+    Generic,
     List,
     Optional,
     Sequence,
@@ -147,7 +159,7 @@ from repro.serve.deadline import (
     current_context,
 )
 from repro.serve.flight import SingleFlight
-from repro.serve.health import HealthTracker
+from repro.serve.health import HealthProber, HealthTracker
 from repro.serve.http import (
     STREAM_TERMINATOR,
     HttpProtocolError,
@@ -160,7 +172,7 @@ from repro.serve.http import (
 )
 from repro.serve.replicas import Replicas
 from repro.serve.reshard import Resharder
-from repro.serve.router import StoreRouter
+from repro.serve.router import S, StoreRouter
 from repro.serve.routes import (
     Route,
     classify_error,
@@ -177,11 +189,13 @@ from repro.store.store import ImageStore
 
 __all__ = [
     "DEFAULT_DEADLINE_SECONDS",
+    "BaseService",
     "ImageService",
     "ReproServer",
     "ServerHandle",
     "StreamingBody",
     "encode_body",
+    "serve_until_sigterm",
     "start_server_thread",
 ]
 
@@ -271,23 +285,21 @@ class StreamingBody:
         self.on_close = on_close
 
 
-class ImageService:
-    """Shard routing + coalescing + serialisation over image stores.
+class BaseService(Generic[S]):
+    """The front end every topology shares: all :class:`ReproServer` needs.
 
-    The service owns the synchronous half of the tier: every method here
-    is thread-safe and blocking, designed to run on the worker pool while
-    :class:`ReproServer` keeps the event loop free.  The exception is the
-    ``cached_only`` mode of the image reads: it never blocks, answers
-    from memory or raises :class:`~repro.exceptions.NotCachedError`, and
-    the server runs it on the loop before offloading.  Tests and the load
-    benchmark may call it directly (no sockets) — the HTTP layer adds no
-    behaviour beyond transport.
+    It owns the request statistics, admission control, per-client
+    limits, the thread pool, shard health, the replica policy over
+    ``router``'s shards and the deadline, timeout and drain settings, and
+    it answers the control plane: ``/healthz``, ``/version``, the
+    ``/stats`` sections every topology has and the ``/catalog`` merge.  A
+    subclass adds a data plane: :class:`ImageService` over local stores,
+    :class:`~repro.serve.proxy.ProxyService` over worker processes.
     """
 
     def __init__(
         self,
-        stores: Sequence[ImageStore],
-        names: Sequence[str] = (),
+        router: StoreRouter[S],
         max_workers: Optional[int] = None,
         default_stripes: int = 4,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
@@ -300,20 +312,16 @@ class ImageService:
         read_timeout: Optional[float] = 30.0,
         idle_timeout: Optional[float] = None,
         drain_budget: float = 10.0,
-        replication: int = 1,
         health_down_after: int = 3,
         health_up_after: int = 2,
     ) -> None:
-        self.router = StoreRouter(stores, names, replication=replication)
+        self.router = router
         self.health = HealthTracker(
-            names=self.router.names,
-            down_after=health_down_after,
-            up_after=health_up_after,
+            names=router.names, down_after=health_down_after, up_after=health_up_after
         )
-        self.resharder: Optional[Resharder] = None
-        self.flight = SingleFlight()
         self.stats = ServerStats()
-        self.replicas = Replicas(self.router, self.health, self.stats)
+        self.replicas = Replicas(router, self.health, self.stats)
+        self.resharder: Optional[Resharder] = None
         self.executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -330,16 +338,138 @@ class ImageService:
         self.read_timeout = read_timeout
         self.idle_timeout = idle_timeout
         self.drain_budget = drain_budget
+
+    def close(self) -> None:
+        self.executor.shutdown(wait=True)
+        self.router.close()
+
+    def version_payload(self) -> Dict[str, object]:
+        """``GET /version``: package version, container formats, engines."""
+        return version_payload()
+
+    def healthz(self) -> Dict[str, object]:
+        status = "draining" if self.stats.draining else "ok"
+        payload: Dict[str, object] = {"status": status, "shards": len(self.router)}
+        down = self.health.down_shards()
+        if down:
+            payload["shards_down"] = down
+        joining = self.router.joining
+        if joining is not None:
+            payload["resharding"] = joining
+        return payload
+
+    def stats_payload(self) -> Dict[str, object]:
+        """``GET /stats``: the front end's sections plus the data plane's."""
+        resharder = self.resharder
+        return dict(
+            self._plane_stats(),
+            server=self.stats.as_json(),
+            admission=self.admission.stats(),
+            clients=self.limiter.stats(),
+            replication={
+                "factor": self.router.replication,
+                "health": self.health.snapshot(),
+                "down": self.health.down_shards(),
+                "joining": self.router.joining,
+                "reshard": None if resharder is None else resharder.report.as_json(),
+            },
+        )
+
+    def _plane_stats(self) -> Dict[str, object]:
+        """The data plane's ``/stats`` sections: ``flight`` and ``shards``."""
+        raise NotImplementedError
+
+    def catalog_payload(
+        self,
+        filter: CatalogFilter,
+        limit: Optional[int] = None,
+        offset: int = 0,
+    ) -> Dict[str, object]:
+        """The merged catalog across every shard: filtered and paginated.
+
+        Each shard's matches are merged newest-first (the same order a
+        single catalog lists) and the page is cut from the merged
+        sequence, so pagination is stable across shard boundaries.  Rows
+        carry their owning shard's name; with replication the same key
+        legitimately appears under several shards.
+
+        The ``offset + limit`` bound is pushed down into every shard's
+        query: any row of the merged page is by construction within the
+        first ``offset + limit`` rows of its own shard, so the merge sort
+        touches O(shards × page) rows instead of the whole catalog.  The
+        total stays exact — each shard reports its full match count even
+        when truncating.
+        """
+        bound = None if limit is None else offset + limit
+        rows, total = self._catalog_rows(filter, bound)
+        rows.sort(key=lambda row: (-row["created_at"], row["key"]))
+        return {"entries": rows[offset:bound], "total": total, "offset": offset}
+
+    def _catalog_rows(
+        self, filter: CatalogFilter, bound: Optional[int]
+    ) -> Tuple[List[Dict[str, Any]], int]:
+        """Every shard's first ``bound`` matching rows, and the match total."""
+        raise NotImplementedError
+
+    def put_outcome(
+        self, key: str, size: int, encoded: bool, stored: Sequence[Tuple[str, object]]
+    ) -> Dict[str, object]:
+        """The ``PUT /images`` answer: key, primary shard, size, owners that took it."""
+        return {
+            "key": key,
+            "shard": self.router.shard_name(key),
+            "bytes": size,
+            "encoded": encoded,
+            "replicas": [name for name, _ in stored],
+        }
+
+    def delete_outcome(
+        self,
+        key: str,
+        deleted_at: object,
+        purge_after: object,
+        deleted: Sequence[Tuple[str, object]],
+    ) -> Dict[str, object]:
+        """The ``DELETE /images/{key}`` answer: the tombstone and its owners."""
+        return {
+            "key": key,
+            "shard": self.router.shard_name(key),
+            "deleted_at": deleted_at,
+            "purge_after": purge_after,
+            "replicas": [name for name, _ in deleted],
+        }
+
+
+class ImageService(BaseService[ImageStore]):
+    """Shard routing + coalescing + serialisation over image stores.
+
+    The in-process data plane on :class:`BaseService`'s front end, whose
+    keywords (pool size, watermarks, deadlines, health hysteresis, ...)
+    it takes as ``settings``.  Every method here is thread-safe and
+    blocking, designed to run on the worker pool while
+    :class:`ReproServer` keeps the event loop free.  The exception is the
+    ``cached_only`` mode of the image reads: it never blocks, answers
+    from memory or raises :class:`~repro.exceptions.NotCachedError`, and
+    the server runs it on the loop before offloading.  Tests and the load
+    benchmark may call it directly (no sockets) — the HTTP layer adds no
+    behaviour beyond transport.
+    """
+
+    def __init__(
+        self,
+        stores: Sequence[ImageStore],
+        names: Sequence[str] = (),
+        replication: int = 1,
+        **settings: Any,
+    ) -> None:
+        super().__init__(StoreRouter(stores, names, replication=replication), **settings)
+        self.flight = SingleFlight()
         # Deadline checkpoint at every cell fetch+decode: a multi-cell
         # request whose budget lapsed (or whose client hung up) aborts at
         # the next cell boundary instead of pinning a worker thread.
         for store in self.router.stores:
             if store.cell_hook is None:
                 store.cell_hook = context_cell_hook
-
-    def close(self) -> None:
-        self.executor.shutdown(wait=True)
-        self.router.close()
 
     def _coalesced(self, key, supplier):
         """Single-flight with a follower timeout from the active deadline.
@@ -429,13 +559,7 @@ class ImageService:
 
         stored = self.replicas.run(key, put, reading=False)
         assert all(stored_key == key for _name, stored_key in stored)
-        return {
-            "key": key,
-            "shard": self.router.shard_name(key),
-            "bytes": len(stream),
-            "encoded": encoded,
-            "replicas": [name for name, _ in stored],
-        }
+        return self.put_outcome(key, len(stream), encoded, stored)
 
     def get_image(self, key: str, cached_only: bool = False) -> Tuple[bytes, str]:
         """The whole image, every plane and stripe, coalesced per key."""
@@ -554,44 +678,16 @@ class ImageService:
 
         return self._coalesced(("region_entry", key, start, stop), resolve)
 
-    def catalog_payload(
-        self,
-        filter: CatalogFilter,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> Dict[str, object]:
-        """The merged catalog across every shard: filtered and paginated.
-
-        Each shard's catalog is queried with ``filter``, the matches are
-        merged newest-first (the same order a single catalog lists) and
-        the page is cut from the merged sequence, so pagination is stable
-        across shard boundaries.  Rows carry their owning shard's name;
-        with replication the same key legitimately appears under several
-        shards.
-
-        The ``offset + limit`` bound is pushed down into every shard's
-        query: any row of the merged page is by construction within the
-        first ``offset + limit`` rows of its own shard, so the merge sort
-        touches O(shards × page) rows instead of the whole catalog.  The
-        total stays exact — each shard reports its full match count even
-        when truncating.
-        """
-        bound = None if limit is None else offset + limit
+    def _catalog_rows(
+        self, filter: CatalogFilter, bound: Optional[int]
+    ) -> Tuple[List[Dict[str, Any]], int]:
+        rows: List[Dict[str, Any]] = []
         total = 0
-        merged: List[Tuple[object, str]] = []
         for name, store in zip(self.router.names, self.router.stores):
             matches, shard_total = store.catalog.query(filter, limit=bound)
             total += shard_total
-            merged.extend((entry, name) for entry in matches)
-        merged.sort(key=lambda pair: (-pair[0].created_at, pair[0].key))  # type: ignore[attr-defined]
-        end = None if limit is None else offset + limit
-        page = merged[offset:end]
-        entries = []
-        for entry, shard in page:
-            row = entry.as_json()  # type: ignore[attr-defined]
-            row["shard"] = shard
-            entries.append(row)
-        return {"entries": entries, "total": total, "offset": offset}
+            rows.extend(dict(entry.as_json(), shard=name) for entry in matches)
+        return rows, total
 
     def delete_image(self, key: str, ttl: Optional[float] = None) -> Dict[str, object]:
         """Soft-delete ``key`` on every owning shard (tombstone + TTL).
@@ -610,45 +706,10 @@ class ImageService:
 
         deleted = self.replicas.run(key, tombstone, reading=False)
         entry = deleted[0][1]
-        return {
-            "key": key,
-            "shard": self.router.shard_name(key),
-            "deleted_at": entry.deleted_at,
-            "purge_after": entry.purge_after,
-            "replicas": [name for name, _ in deleted],
-        }
+        return self.delete_outcome(key, entry.deleted_at, entry.purge_after, deleted)
 
-    def version_payload(self) -> Dict[str, object]:
-        """``GET /version``: package version, container formats, engines."""
-        return version_payload()
-
-    def healthz(self) -> Dict[str, object]:
-        status = "draining" if self.stats.draining else "ok"
-        payload: Dict[str, object] = {"status": status, "shards": len(self.router)}
-        down = self.health.down_shards()
-        if down:
-            payload["shards_down"] = down
-        joining = self.router.joining
-        if joining is not None:
-            payload["resharding"] = joining
-        return payload
-
-    def stats_payload(self) -> Dict[str, object]:
-        resharder = self.resharder
-        return {
-            "server": self.stats.as_json(),
-            "flight": self.flight.stats(),
-            "admission": self.admission.stats(),
-            "clients": self.limiter.stats(),
-            "shards": self.router.stats(),
-            "replication": {
-                "factor": self.router.replication,
-                "health": self.health.snapshot(),
-                "down": self.health.down_shards(),
-                "joining": self.router.joining,
-                "reshard": None if resharder is None else resharder.report.as_json(),
-            },
-        }
+    def _plane_stats(self) -> Dict[str, object]:
+        return {"flight": self.flight.stats(), "shards": self.router.stats()}
 
     def begin_reshard(
         self, store: ImageStore, name: str, throttle: float = 0.0
@@ -671,10 +732,16 @@ class ImageService:
 
 
 class ReproServer:
-    """The asyncio HTTP front-end bound to one :class:`ImageService`."""
+    """The asyncio HTTP front-end bound to one service.
+
+    Connection handling, admission, deadlines, dispatch, streaming and
+    drain read only the :class:`BaseService` front end; the data-plane
+    handlers narrow the service to :class:`ImageService` (the proxy
+    overrides them).
+    """
 
     def __init__(
-        self, service: ImageService, host: str = "127.0.0.1", port: int = 0
+        self, service: BaseService[Any], host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.service = service
         self.host = host
@@ -1063,12 +1130,19 @@ class ReproServer:
         )
         return 200, json_payload(payload), "application/json"
 
+    def _images(self) -> ImageService:
+        """The in-process data plane: the service, narrowed by a checked test."""
+        service = self.service
+        if not isinstance(service, ImageService):
+            raise TypeError("%s has no in-process data plane" % type(service).__name__)
+        return service
+
     async def _handle_put_image(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         outcome = await self._offload(
             context,
-            self.service.put_image,
+            self._images().put_image,
             request.body,
             self._int_query(request, "stripes"),
             self._flag_query(request, "plane_delta"),
@@ -1078,11 +1152,8 @@ class ReproServer:
     async def _handle_delete_image(
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
-        ttl = self._float_query(request, "ttl")
-        if ttl is not None and ttl < 0:
-            raise ConfigError("ttl must be >= 0 seconds, got %s" % ttl)
         payload = await self._offload(
-            context, self.service.delete_image, str(params["key"]), ttl
+            context, self._images().delete_image, str(params["key"]), self._ttl_query(request)
         )
         return 200, json_payload(payload), "application/json"
 
@@ -1090,7 +1161,7 @@ class ReproServer:
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         body, content_type = await self._serve(
-            context, self.service.get_image, str(params["key"])
+            context, self._images().get_image, str(params["key"])
         )
         return 200, body, content_type
 
@@ -1098,7 +1169,7 @@ class ReproServer:
         self, request: HttpRequest, context: RequestContext, params: Dict[str, object]
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         body, content_type = await self._serve(
-            context, self.service.get_plane, str(params["key"]), params["plane"]
+            context, self._images().get_plane, str(params["key"]), params["plane"]
         )
         return 200, body, content_type
 
@@ -1110,7 +1181,7 @@ class ReproServer:
         if self._flag_query(request, "stream"):
             return await self._stream_region(context, key, start, stop)
         body, content_type = await self._serve(
-            context, self.service.get_region, key, start, stop
+            context, self._images().get_region, key, start, stop
         )
         return 200, body, content_type
 
@@ -1121,7 +1192,7 @@ class ReproServer:
         ranges = self._parse_ranges_body(request.body)
         if self._flag_query(request, "stream"):
             return await self._stream_regions(context, key, ranges)
-        payload = await self._offload(context, self.service.get_regions, key, ranges)
+        payload = await self._offload(context, self._images().get_regions, key, ranges)
         return 200, json_payload(payload), "application/json"
 
     # ------------------------------------------------------------------ #
@@ -1142,8 +1213,9 @@ class ReproServer:
         coalesces with concurrent single-stripe GETs under the same
         single-flight key.
         """
+        service = self._images()
         head, content_type, stripes = await self._serve(
-            context, self.service.region_stream_plan, key, start, stop
+            context, service.region_stream_plan, key, start, stop
         )
 
         async def chunks() -> AsyncIterator[bytes]:
@@ -1158,7 +1230,7 @@ class ReproServer:
             await asyncio.sleep(0.001)
             for index in stripes:
                 payload, _ = await self._serve(
-                    context, self.service.get_region, key, index, index + 1
+                    context, service.get_region, key, index, index + 1
                 )
                 yield split_netpbm_payload(payload)[1]
 
@@ -1178,13 +1250,14 @@ class ReproServer:
         proper error responses; only failures *during* region decodes
         abort the stream.
         """
+        service = self._images()
         normalised = [(int(a), int(b)) for a, b in ranges]
-        await self._offload(context, self.service.validate_regions, key, normalised)
+        await self._offload(context, service.validate_regions, key, normalised)
 
         async def chunks() -> AsyncIterator[bytes]:
             for start, stop in normalised:
                 entry = await self._offload(
-                    context, self.service.region_entry, key, start, stop
+                    context, service.region_entry, key, start, stop
                 )
                 yield (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
 
@@ -1357,6 +1430,14 @@ class ReproServer:
             raise ConfigError("query parameter %s=%r is not a number" % (name, value))
 
     @classmethod
+    def _ttl_query(cls, request: HttpRequest) -> Optional[float]:
+        """``DELETE ...?ttl=``: the tombstone's lifetime in seconds, validated."""
+        ttl = cls._float_query(request, "ttl")
+        if ttl is not None and ttl < 0:
+            raise ConfigError("ttl must be >= 0 seconds, got %s" % ttl)
+        return ttl
+
+    @classmethod
     def _parse_catalog_query(
         cls, request: HttpRequest
     ) -> Tuple[CatalogFilter, int, int]:
@@ -1448,7 +1529,7 @@ class ServerHandle:
 
     def __init__(
         self,
-        service: ImageService,
+        service: BaseService[Any],
         thread: threading.Thread,
         loop: asyncio.AbstractEventLoop,
         server: ReproServer,
@@ -1502,7 +1583,7 @@ class ServerHandle:
 
 
 def start_server_thread(
-    service: ImageService,
+    service: BaseService[Any],
     host: str = "127.0.0.1",
     port: int = 0,
     timeout: float = 10.0,
@@ -1553,3 +1634,64 @@ def start_server_thread(
     if failure:
         raise failure[0]
     return ServerHandle(service, thread, loop, server)
+
+
+async def serve_until_sigterm(
+    server: ReproServer, ready: Callable[[int], None], health_interval: float = 0.0
+) -> int:
+    """Serve until SIGTERM, drain, close: the one lifecycle of a serving process.
+
+    Both ``repro-serve`` topologies and every shard worker run it.  It
+    binds ``server``, hands the bound port to ``ready`` (the caller's
+    ready line), starts a :class:`~repro.serve.health.HealthProber` over
+    the service's shards when ``health_interval`` is positive, and
+    serves.  SIGTERM drains in-flight work within the service's drain
+    budget.  However serving ends, the prober stops, the socket closes
+    and the service closes (for the proxy, with the worker fleet).
+    """
+    service = server.service
+    loop = asyncio.get_running_loop()
+    sigterm = asyncio.Event()
+    try:
+        loop.add_signal_handler(signal.SIGTERM, sigterm.set)
+    except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
+        pass
+    prober: Optional[HealthProber] = None
+    try:
+        await server.start()
+        ready(server.port)
+        if health_interval > 0:
+            prober = HealthProber(
+                service.router, service.health, interval=health_interval
+            ).start()
+        serving = asyncio.ensure_future(server.serve_forever())
+        waiting = asyncio.ensure_future(sigterm.wait())
+        await asyncio.wait({serving, waiting}, return_when=asyncio.FIRST_COMPLETED)
+        if sigterm.is_set():
+            print(
+                "repro-serve: SIGTERM, draining (budget %.1fs)" % service.drain_budget,
+                file=sys.stderr,
+                flush=True,
+            )
+            drained = await server.drain()
+            print(
+                "repro-serve: drained %s"
+                % ("cleanly" if drained else "with requests still in flight"),
+                file=sys.stderr,
+                flush=True,
+            )
+        for task in (serving, waiting):
+            task.cancel()
+        await asyncio.gather(serving, waiting, return_exceptions=True)
+    except asyncio.CancelledError:  # pragma: no cover - cancellation race
+        pass
+    finally:
+        try:
+            loop.remove_signal_handler(signal.SIGTERM)
+        except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
+            pass
+        if prober is not None:
+            prober.stop()
+        await server.stop()
+        service.close()
+    return 0

@@ -25,18 +25,21 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 import sys
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.cli import _print_error, add_version_argument
 from repro.core.interface import ENGINES
 from repro.exceptions import ReproError
 from repro.serve.admission import DEFAULT_MAX_INFLIGHT
-from repro.serve.app import DEFAULT_DEADLINE_SECONDS, ImageService, ReproServer
-from repro.serve.health import HealthProber
+from repro.serve.app import (
+    DEFAULT_DEADLINE_SECONDS,
+    ImageService,
+    ReproServer,
+    serve_until_sigterm,
+)
 from repro.store.cache import DEFAULT_CACHE_BYTES, DEFAULT_ENCODED_CACHE_BYTES
 from repro.store.store import ImageStore
 
@@ -301,7 +304,27 @@ def shard_paths(root: Path, shards: int, backend: str) -> List[Path]:
     return paths
 
 
-async def _serve_proc(args, root: Path) -> int:
+def _front_end(args) -> Dict[str, Any]:
+    """The service keywords both topologies take from the command line."""
+    return dict(
+        max_workers=args.workers,
+        max_inflight=args.max_inflight,
+        shed_low=args.shed_low,
+        retry_after=args.retry_after,
+        max_connections_per_client=args.max_client_connections,
+        client_rate=args.client_rate,
+        client_burst=args.client_burst,
+        default_deadline=args.deadline,
+        read_timeout=args.read_timeout if args.read_timeout > 0 else None,
+        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
+        drain_budget=args.drain_budget,
+        replication=args.replication,
+        health_down_after=args.health_down_after,
+        health_up_after=args.health_up_after,
+    )
+
+
+def _proc_server(args, root: Path) -> ReproServer:
     """The multi-process topology: shard workers behind a routing proxy."""
     from repro.serve.proxy import ProxyService, ReproProxy
     from repro.serve.worker import WorkerSpec, WorkerSupervisor
@@ -328,82 +351,12 @@ async def _serve_proc(args, root: Path) -> int:
     supervisor = WorkerSupervisor(
         specs, workers_per_shard=args.workers_per_shard
     ).start()
-    service = ProxyService(
-        supervisor,
-        replication=args.replication,
-        engine=args.engine,
-        max_workers=args.workers,
-        max_inflight=args.max_inflight,
-        shed_low=args.shed_low,
-        retry_after=args.retry_after,
-        max_connections_per_client=args.max_client_connections,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        default_deadline=args.deadline,
-        read_timeout=args.read_timeout if args.read_timeout > 0 else None,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        drain_budget=args.drain_budget,
-        health_down_after=args.health_down_after,
-        health_up_after=args.health_up_after,
-    )
-    proxy = ReproProxy(service, args.host, args.port)
-    loop = asyncio.get_running_loop()
-    sigterm = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, sigterm.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
-        pass
-    try:
-        await proxy.start()
-        print(
-            "repro-serve: listening on http://%s:%d (%d shard(s), %s backend)"
-            % (args.host, proxy.port, args.shards, args.backend),
-            flush=True,
-        )
-        print(
-            "repro-serve: proxy over %d worker process(es) (%d per shard)"
-            % (args.shards * args.workers_per_shard, args.workers_per_shard),
-            file=sys.stderr,
-            flush=True,
-        )
-        print("repro-serve: shards under %s" % root, file=sys.stderr, flush=True)
-        serving = asyncio.ensure_future(proxy.serve_forever())
-        waiting = asyncio.ensure_future(sigterm.wait())
-        await asyncio.wait({serving, waiting}, return_when=asyncio.FIRST_COMPLETED)
-        if sigterm.is_set():
-            print(
-                "repro-serve: SIGTERM, draining proxy then workers "
-                "(budget %.1fs)" % service.drain_budget,
-                file=sys.stderr,
-                flush=True,
-            )
-            drained = await proxy.drain()
-            print(
-                "repro-serve: drained %s"
-                % ("cleanly" if drained else "with requests still in flight"),
-                file=sys.stderr,
-                flush=True,
-            )
-        for task in (serving, waiting):
-            task.cancel()
-        await asyncio.gather(serving, waiting, return_exceptions=True)
-    except asyncio.CancelledError:  # pragma: no cover - cancellation race
-        pass
-    finally:
-        try:
-            loop.remove_signal_handler(signal.SIGTERM)
-        except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
-            pass
-        await proxy.stop()
-        # close() ends with the worker SIGTERM cascade: each worker drains
-        # its own in-flight work within its --drain-budget before exiting.
-        service.close()
-    return 0
+    service = ProxyService(supervisor, engine=args.engine, **_front_end(args))
+    return ReproProxy(service, args.host, args.port)
 
 
-async def _serve(args, root: Path) -> int:
-    if args.topology == "proc":
-        return await _serve_proc(args, root)
+def _thread_server(args, root: Path) -> ReproServer:
+    """The in-process topology: every shard's store behind one pool."""
     stores = open_shards(
         root,
         args.shards,
@@ -414,38 +367,14 @@ async def _serve(args, root: Path) -> int:
         encoded_cache_bytes=args.encoded_cache_bytes,
         use_mmap=args.mmap,
     )
-    joining_store = None
-    joining_name = None
-    if args.reshard:
-        # The highest-numbered shard is the one joining: boot the service
-        # over the old membership and add it through the live-reshard path
-        # so reads consult both owner sets while keys migrate.
-        joining_store = stores.pop()
+    # The highest-numbered shard of a --reshard boot is the one joining:
+    # serve the old membership and add it through the live-reshard path,
+    # so reads consult both owner sets while keys migrate.
+    joining = stores.pop() if args.reshard else None
+    service = ImageService(stores, **_front_end(args))
+    if joining is not None:
         joining_name = "shard-%02d" % (args.shards - 1)
-    service = ImageService(
-        stores,
-        max_workers=args.workers,
-        max_inflight=args.max_inflight,
-        shed_low=args.shed_low,
-        retry_after=args.retry_after,
-        max_connections_per_client=args.max_client_connections,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        default_deadline=args.deadline,
-        read_timeout=args.read_timeout if args.read_timeout > 0 else None,
-        idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
-        drain_budget=args.drain_budget,
-        replication=args.replication,
-        health_down_after=args.health_down_after,
-        health_up_after=args.health_up_after,
-    )
-    prober = None
-    if args.health_interval > 0:
-        prober = HealthProber(
-            service.router, service.health, interval=args.health_interval
-        ).start()
-    if joining_store is not None:
-        resharder = service.begin_reshard(joining_store, joining_name)
+        resharder = service.begin_reshard(joining, joining_name)
         moved = len(resharder.moved_keys())
         resharder.start()
         print(
@@ -454,53 +383,37 @@ async def _serve(args, root: Path) -> int:
             file=sys.stderr,
             flush=True,
         )
-    server = ReproServer(service, args.host, args.port)
-    loop = asyncio.get_running_loop()
-    sigterm = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, sigterm.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
-        pass
-    try:
-        await server.start()
+    return ReproServer(service, args.host, args.port)
+
+
+def _ready(args, root: Path, *notes: str) -> Callable[[int], None]:
+    """The ready lines: ``listening on`` on stdout (scripts parse it), notes on stderr."""
+
+    def ready(port: int) -> None:
         print(
             "repro-serve: listening on http://%s:%d (%d shard(s), %s backend)"
-            % (args.host, server.port, args.shards, args.backend),
+            % (args.host, port, args.shards, args.backend),
             flush=True,
         )
-        print("repro-serve: shards under %s" % root, file=sys.stderr, flush=True)
-        serving = asyncio.ensure_future(server.serve_forever())
-        waiting = asyncio.ensure_future(sigterm.wait())
-        await asyncio.wait({serving, waiting}, return_when=asyncio.FIRST_COMPLETED)
-        if sigterm.is_set():
-            print(
-                "repro-serve: SIGTERM, draining (budget %.1fs)"
-                % service.drain_budget,
-                file=sys.stderr,
-                flush=True,
-            )
-            drained = await server.drain()
-            print(
-                "repro-serve: drained %s"
-                % ("cleanly" if drained else "with requests still in flight"),
-                file=sys.stderr,
-                flush=True,
-            )
-        for task in (serving, waiting):
-            task.cancel()
-        await asyncio.gather(serving, waiting, return_exceptions=True)
-    except asyncio.CancelledError:  # pragma: no cover - cancellation race
-        pass
-    finally:
-        try:
-            loop.remove_signal_handler(signal.SIGTERM)
-        except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
-            pass
-        if prober is not None:
-            prober.stop()
-        await server.stop()
-        service.close()
-    return 0
+        for note in notes + ("shards under %s" % root,):
+            print("repro-serve: " + note, file=sys.stderr, flush=True)
+
+    return ready
+
+
+async def _serve(args, root: Path) -> int:
+    if args.topology == "proc":
+        server = _proc_server(args, root)
+        ready = _ready(
+            args,
+            root,
+            "proxy over %d worker process(es) (%d per shard)"
+            % (args.shards * args.workers_per_shard, args.workers_per_shard),
+        )
+    else:
+        server = _thread_server(args, root)
+        ready = _ready(args, root)
+    return await serve_until_sigterm(server, ready, args.health_interval)
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:

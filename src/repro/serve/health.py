@@ -15,16 +15,18 @@ as a last resort.  Two cooperating pieces provide the belief:
     flapping one.
 
 :class:`HealthProber`
-    A daemon thread that issues a cheap backend probe
-    (``backend.contains``) against every shard on an interval and feeds
-    the tracker.  Probes run under their own
+    A daemon thread that calls every shard's cheap
+    :meth:`~repro.serve.router.Shard.probe` on an interval and feeds the
+    tracker: a local store asks its backend about a key
+    (``backend.contains``), a proxied worker group answers ``GET
+    /healthz`` from any of its workers.  Probes run under their own
     :class:`~repro.serve.deadline.RequestContext` with a short deadline,
-    so a *stalled* backend (the chaos harness's favourite fault) fails
-    the probe instead of wedging the prober thread — the same
-    cooperative-abandonment seam the request path uses.  Active probing
-    is what notices a shard's **recovery** while traffic is avoiding it:
-    passive reports alone would keep a down shard down forever once the
-    failover loop stops sending it reads.
+    so a *stalled* backend (the chaos harness's favourite fault) or a
+    hung worker fails the probe instead of wedging the prober thread —
+    the same cooperative-abandonment seam the request path uses.  Active
+    probing is what notices a shard's **recovery** while traffic is
+    avoiding it: passive reports alone would keep a down shard down
+    forever once the replica policy stops sending it reads.
 
 Neither piece ever *blocks* routing: a down shard is deprioritised, not
 removed — if every healthy replica misses, the read path still tries the
@@ -37,18 +39,13 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-from repro.exceptions import ConfigError, StoreError
+from repro.exceptions import ConfigError
 from repro.serve.deadline import Deadline, RequestContext, bind_context
 from repro.serve.router import StoreRouter
 
 __all__ = ["HealthProber", "HealthTracker", "ShardHealth"]
 
 T = TypeVar("T")
-
-#: Key the active prober asks the backend about.  ``contains`` on a key
-#: that does not exist is the cheapest data-path operation every backend
-#: supports, and it rides through fault injectors like any real read.
-PROBE_KEY = "__repro_health_probe__"
 
 
 class ShardHealth:
@@ -208,19 +205,14 @@ class HealthProber:
     def probe_once(self) -> Dict[str, bool]:
         """Probe every shard once; returns the per-shard outcome."""
         outcomes: Dict[str, bool] = {}
-        names = self.router.names
-        stores = self.router.stores
-        for name, store in zip(names, stores):
+        for name, shard in zip(self.router.names, self.router.stores):
             context = RequestContext(Deadline(self.timeout), endpoint="probe")
             bind_context(context)
             try:
-                store.backend.contains(PROBE_KEY)
-                ok = not context.deadline.expired
-            except StoreError:
-                ok = False
+                ok = shard.probe() and not context.deadline.expired
             except Exception:
                 # A probe must never take the prober thread down; any
-                # unexpected backend explosion is simply an unhealthy answer.
+                # failure, expected or not, is simply an unhealthy answer.
                 ok = False
             finally:
                 bind_context(None)

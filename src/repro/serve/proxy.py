@@ -6,7 +6,10 @@ processes (:mod:`repro.serve.worker`).  It subclasses
 ``_handle_*`` methods — the route table, the 404/405 derivation, the
 error envelope, admission control, deadlines, streaming framing and the
 drain sequence are all inherited, so the two topologies cannot drift
-apart request by request.
+apart request by request.  Its :class:`ProxyService` is likewise the
+in-process tier's :class:`~repro.serve.app.BaseService` front end with a
+forwarding data plane, and ``repro-serve`` runs it through the same
+lifecycle, health prober included.
 
 Placement reuses the exact machinery of the in-process tier:
 :class:`~repro.serve.router.StoreRouter` ranks owner shards per key
@@ -40,6 +43,7 @@ import json
 import math
 from collections import deque
 from typing import (
+    Any,
     AsyncIterator,
     Deque,
     Dict,
@@ -51,22 +55,13 @@ from typing import (
 )
 from urllib.parse import quote
 
-from concurrent.futures import ThreadPoolExecutor
-
 from repro.exceptions import (
-    ConfigError,
     DeadlineExceededError,
     ServeError,
     StoreError,
 )
-from repro.serve.admission import (
-    DEFAULT_MAX_INFLIGHT,
-    AdmissionController,
-    ClientLimiter,
-)
 from repro.serve.app import (
-    DEFAULT_DEADLINE_SECONDS,
-    ImageService,
+    BaseService,
     ReproServer,
     ServerHandle,
     StreamingBody,
@@ -74,13 +69,11 @@ from repro.serve.app import (
     start_server_thread,
 )
 from repro.serve.client import ServeClient
-from repro.serve.deadline import RequestContext
-from repro.serve.health import HealthTracker
+from repro.serve.deadline import RequestContext, current_context
 from repro.serve.http import HttpRequest, json_payload
-from repro.serve.replicas import OwnerReply, Replicas
+from repro.serve.replicas import OwnerReply
 from repro.serve.router import StoreRouter
-from repro.serve.routes import classify_error, version_payload
-from repro.serve.stats import ServerStats
+from repro.serve.routes import classify_error
 from repro.serve.worker import WorkerGroup, WorkerProcess, WorkerSupervisor
 from repro.store.catalog import CatalogFilter
 
@@ -246,6 +239,26 @@ class RemoteShard:
             while pool:
                 _, _, writer = pool.popleft()
                 _close_writer(writer)
+
+    def probe(self) -> bool:
+        """True when a worker of the group answers ``GET /healthz`` with 200.
+
+        Each attempt gets what is left of the bound probe deadline, so a
+        hung worker fails the probe instead of wedging the prober.  The
+        call blocks: it runs on the prober's thread, off the event loop.
+        """
+        context = current_context()
+        for worker in self.group.candidates():
+            timeout = self.request_timeout if context is None else context.deadline.remaining
+            if timeout <= 0:
+                break
+            try:
+                with ServeClient(worker.host, worker.port, timeout=timeout) as client:
+                    client.healthz()
+                return True
+            except (ServeError, OSError):
+                continue
+        return False
 
     # -- connection pool ------------------------------------------------ #
 
@@ -512,15 +525,15 @@ def _merge_counters(target: Dict[str, object], source: Dict[str, object]) -> Non
             target.setdefault(key, value)
 
 
-class ProxyService:
-    """The proxy-side counterpart of :class:`ImageService`.
+class ProxyService(BaseService[RemoteShard]):
+    """The proxy's service: :class:`~repro.serve.app.BaseService` over worker groups.
 
-    Carries the exact attribute surface :class:`ReproServer` touches
-    (router, health, stats, admission, limiter, executor, timeouts) so
-    the inherited connection handling, admission control and dispatch
-    run unmodified — but the "stores" behind the router are
-    :class:`RemoteShard` handles, and the control-plane documents
-    (``/stats``, ``/catalog``) are aggregated from the worker fleet.
+    The front end (stats, admission, limits, pool, health, replica
+    policy, settings, ``/healthz``, ``/version``) is the in-process
+    tier's own; the shards behind the router are :class:`RemoteShard`
+    handles, ``/stats`` and ``/catalog`` are aggregated from the worker
+    fleet, and :class:`ReproProxy` forwards the data plane.
+    ``settings`` are :class:`~repro.serve.app.BaseService`'s keywords.
     """
 
     def __init__(
@@ -528,24 +541,10 @@ class ProxyService:
         supervisor: WorkerSupervisor,
         replication: int = 1,
         engine: str = "reference",
-        default_stripes: int = 4,
-        max_workers: Optional[int] = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        shed_low: Optional[int] = None,
-        retry_after: float = 1.0,
-        max_connections_per_client: int = 0,
-        client_rate: float = 0.0,
-        client_burst: Optional[float] = None,
-        default_deadline: float = DEFAULT_DEADLINE_SECONDS,
-        read_timeout: Optional[float] = 30.0,
-        idle_timeout: Optional[float] = None,
-        drain_budget: float = 10.0,
-        health_down_after: int = 3,
-        health_up_after: int = 2,
         worker_timeout: float = 30.0,
+        **settings: Any,
     ) -> None:
-        self.supervisor = supervisor
-        self.router = StoreRouter(
+        router = StoreRouter(
             [
                 RemoteShard(group, request_timeout=worker_timeout)
                 for group in supervisor.groups
@@ -553,56 +552,22 @@ class ProxyService:
             supervisor.shard_names,
             replication=replication,
         )
-        self.health = HealthTracker(
-            names=self.router.names,
-            down_after=health_down_after,
-            up_after=health_up_after,
-        )
-        self.stats = ServerStats()
-        self.replicas = Replicas(self.router, self.health, self.stats)
-        self.executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-proxy"
-        )
+        super().__init__(router, **settings)
+        self.supervisor = supervisor
         self.engine_name = engine
-        self.default_stripes = default_stripes
-        self.admission = AdmissionController(
-            high=max_inflight, low=shed_low, retry_after=retry_after
-        )
-        self.limiter = ClientLimiter(
-            max_connections=max_connections_per_client,
-            rate=client_rate,
-            burst=client_burst,
-        )
-        self.default_deadline = max(0.0, default_deadline)
-        self.read_timeout = read_timeout
-        self.idle_timeout = idle_timeout
-        self.drain_budget = drain_budget
 
     def close(self) -> None:
-        self.executor.shutdown(wait=True)
-        self.router.close()
+        super().close()
         self.supervisor.stop()
 
-    def version_payload(self) -> Dict[str, object]:
-        return version_payload()
+    def _plane_stats(self) -> Dict[str, object]:
+        """The worker documents merged counter-by-counter, plus the fleet.
 
-    def healthz(self) -> Dict[str, object]:
-        status = "draining" if self.stats.draining else "ok"
-        payload: Dict[str, object] = {"status": status, "shards": len(self.router)}
-        down = self.health.down_shards()
-        if down:
-            payload["shards_down"] = down
-        return payload
-
-    def stats_payload(self) -> Dict[str, object]:
-        """The fleet-wide ``/stats``: proxy front-end + aggregated workers.
-
-        ``server``/``admission``/``clients`` are the proxy's own (they
-        describe the public socket); ``flight`` and ``shards`` are the
-        worker documents merged counter-by-counter, so coalescing and
-        cache behaviour stay observable per shard no matter how many
-        processes serve it; ``workers`` reports the process fleet (pids,
-        ports, restart counts) for operators and the chaos drill.
+        ``flight`` and ``shards`` sum every worker's sections, so
+        coalescing and cache behaviour stay observable per shard no
+        matter how many processes serve it; ``workers`` reports the
+        process fleet (pids, ports, restart counts) for operators and the
+        chaos drill.
         """
         flight: Dict[str, object] = {}
         sections: List[Dict[str, object]] = []
@@ -621,21 +586,7 @@ class ProxyService:
             merged["name"] = group.shard_name
             merged["joining"] = False
             sections.append(merged)
-        return {
-            "server": self.stats.as_json(),
-            "flight": flight,
-            "admission": self.admission.stats(),
-            "clients": self.limiter.stats(),
-            "shards": sections,
-            "replication": {
-                "factor": self.router.replication,
-                "health": self.health.snapshot(),
-                "down": self.health.down_shards(),
-                "joining": None,
-                "reshard": None,
-            },
-            "workers": self.supervisor.snapshot(),
-        }
+        return {"flight": flight, "shards": sections, "workers": self.supervisor.snapshot()}
 
     def _scrape_worker(self, worker: WorkerProcess) -> Optional[Dict[str, object]]:
         if not worker.alive:
@@ -646,30 +597,24 @@ class ProxyService:
         except (ServeError, OSError):
             return None
 
-    def catalog_payload(
-        self,
-        filter: CatalogFilter,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> Dict[str, object]:
-        """The merged catalog across every shard's worker fleet.
+    def _catalog_rows(
+        self, filter: CatalogFilter, bound: Optional[int]
+    ) -> Tuple[List[Dict[str, Any]], int]:
+        """Each group's rows: the union of its workers' listings.
 
         Workers of one shard keep independent catalog views (each records
-        the puts it handled), so the group's listing is the union of its
-        workers', deduplicated per key newest-first.  Shards merge and
-        paginate exactly like the in-process service — same sort key,
-        same pushed-down ``offset + limit`` bound per worker, same
-        ``{"entries", "total", "offset"}`` document.
+        the puts it handled), so a group's rows are its workers' rows
+        deduplicated per key, newest first, and its total discounts the
+        duplicates.
         """
-        bound = None if limit is None else offset + limit
         tag: Optional[str] = None
         if filter.tags:
             tag_key, tag_value = filter.tags[0]
             tag = tag_key if tag_value is None else "%s=%s" % (tag_key, tag_value)
         total = 0
-        merged_rows: List[Dict[str, object]] = []
+        rows: List[Dict[str, Any]] = []
         for group in self.supervisor.groups:
-            by_key: Dict[str, Dict[str, object]] = {}
+            by_key: Dict[str, Dict[str, Any]] = {}
             group_total = 0
             duplicates = 0
             answered = False
@@ -690,7 +635,7 @@ class ProxyService:
                 except (ServeError, OSError):
                     continue
                 answered = True
-                group_total += int(cast(int, document.get("total", 0)))
+                group_total += int(document.get("total", 0))
                 for row in document.get("entries", ()):
                     key = str(row["key"])
                     known = by_key.get(key)
@@ -706,12 +651,8 @@ class ProxyService:
                     % group.shard_name
                 )
             total += max(0, group_total - duplicates)
-            merged_rows.extend(by_key.values())
-        merged_rows.sort(
-            key=lambda row: (-cast(float, row.get("created_at", 0.0)), str(row["key"]))
-        )
-        end = None if limit is None else offset + limit
-        return {"entries": merged_rows[offset:end], "total": total, "offset": offset}
+            rows.extend(by_key.values())
+        return rows, total
 
 
 class ReproProxy(ReproServer):
@@ -721,14 +662,14 @@ class ReproProxy(ReproServer):
     table, 404/405 derivation, admission, deadlines, the error envelope,
     chunked streaming, drain — is inherited.  Control-plane routes
     (``/healthz``, ``/stats``, ``/version``, ``/catalog``) are inherited
-    too: they call the service's blocking methods, which
-    :class:`ProxyService` implements by aggregation.
+    too: they call the service's front-end methods, which
+    :class:`ProxyService` completes by aggregation.
     """
 
     def __init__(
         self, service: ProxyService, host: str = "127.0.0.1", port: int = 0
     ) -> None:
-        super().__init__(cast(ImageService, service), host, port)
+        super().__init__(service, host, port)
         self.proxy_service = service
 
     # -- forwarding under the replica policy ----------------------------- #
@@ -794,13 +735,7 @@ class ReproProxy(ReproServer):
             stored = await service.replicas.arun(key, put, reading=False, context=context)
         except OwnerReply as error:
             return _verbatim(error)
-        outcome = {
-            "key": key,
-            "shard": service.router.shard_name(key),
-            "bytes": len(stream),
-            "encoded": encoded,
-            "replicas": [name for name, _ in stored],
-        }
+        outcome = service.put_outcome(key, len(stream), encoded, stored)
         return 201, json_payload(outcome), "application/json"
 
     async def _handle_delete_image(
@@ -808,9 +743,7 @@ class ReproProxy(ReproServer):
     ) -> Tuple[int, Union[bytes, StreamingBody], str]:
         service = self.proxy_service
         key = str(params["key"])
-        ttl = self._float_query(request, "ttl")
-        if ttl is not None and ttl < 0:
-            raise ConfigError("ttl must be >= 0 seconds, got %s" % ttl)
+        ttl = self._ttl_query(request)
         target = "/images/" + quote(key, safe="")
         if ttl is not None:
             target += "?ttl=%s" % ttl
@@ -836,13 +769,9 @@ class ReproProxy(ReproServer):
         except OwnerReply as error:
             return _verbatim(error)
         entry = deleted[0][1].document()
-        payload = {
-            "key": key,
-            "shard": service.router.shard_name(key),
-            "deleted_at": entry.get("deleted_at"),
-            "purge_after": entry.get("purge_after"),
-            "replicas": [name for name, _ in deleted],
-        }
+        payload = service.delete_outcome(
+            key, entry.get("deleted_at"), entry.get("purge_after"), deleted
+        )
         return 200, json_payload(payload), "application/json"
 
     async def _handle_get_image(
@@ -890,10 +819,4 @@ def start_proxy_thread(
     service: ProxyService, host: str = "127.0.0.1", port: int = 0, timeout: float = 10.0
 ) -> ServerHandle:
     """Boot a :class:`ReproProxy` on a daemon thread (tests, smokes)."""
-    return start_server_thread(
-        cast(ImageService, service),
-        host,
-        port,
-        timeout,
-        server_class=ReproProxy,
-    )
+    return start_server_thread(service, host, port, timeout, server_class=ReproProxy)

@@ -22,12 +22,17 @@ its worker's envelope carries (:class:`OwnerReply`).
   missed;
 * ``upstream_unhealthy``, ``internal``, ``draining`` — the owner failed
   (dead backend, corrupt replica, shutting-down worker): record a health
-  failure, bump ``failovers`` (``write_failovers`` for writes) overall
-  and per shard, and move on; a failure outranks a miss, since the
-  failed owner may hold the key;
+  failure, bump ``owner_failures`` overall and per shard, and move on; a
+  failure outranks a miss, since the failed owner may hold the key;
 * any other code (``bad_request``, ``shed``, ``deadline``, ...) is the
   answer at once — equally true of every owner.  ``deadline`` records
   nothing: it says nothing about the owner's health.
+
+``owner_failures`` says a replica is sick; ``failovers`` and
+``write_failovers`` say availability held despite it.  Each failed owner
+counts one ``failovers`` (overall and per shard) when a later owner
+served the read, and one ``write_failovers`` when the write still landed
+on some owner; an operation that ends in an error counts neither.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class _Walk(Generic[S, T]):
     """One operation's pass over a key's owners, and its verdict."""
 
     __slots__ = (
-        "replicas", "owners", "reading", "context", "counter", "taken", "missed", "failed"
+        "replicas", "owners", "reading", "context", "taken", "missed", "failed", "sick"
     )
 
     def __init__(
@@ -83,10 +88,11 @@ class _Walk(Generic[S, T]):
         self.owners = replicas.owners(key) if reading else replicas.router.owners(key)
         self.reading = reading
         self.context = context
-        self.counter = "failovers" if reading else "write_failovers"
         self.taken: List[Tuple[str, T]] = []
         self.missed: Optional[ReproError] = None
         self.failed: Optional[ReproError] = None
+        #: Owners that failed, in the order they were tried.
+        self.sick: List[str] = []
 
     def __iter__(self) -> Iterator[Tuple[str, S]]:
         for position, owner in enumerate(self.owners):
@@ -105,8 +111,8 @@ class _Walk(Generic[S, T]):
         code = error.code if isinstance(error, OwnerReply) else classify_error(500, error)
         if code in FAILED:
             self.replicas.health.record_failure(name)
-            self.replicas.stats.bump(self.counter)
-            self.replicas.stats.bump_shard(name, self.counter)
+            self._count(name, "owner_failures")
+            self.sick.append(name)
             self.failed = error
             return
         if code != "deadline":
@@ -115,8 +121,15 @@ class _Walk(Generic[S, T]):
             raise error
         self.missed = error
 
+    def _count(self, name: str, counter: str) -> None:
+        self.replicas.stats.bump(counter)
+        self.replicas.stats.bump_shard(name, counter)
+
     def verdict(self) -> List[Tuple[str, T]]:
         if self.taken:
+            counter = "failovers" if self.reading else "write_failovers"
+            for name in self.sick:
+                self._count(name, counter)
             return self.taken
         error = self.failed or self.missed
         assert error is not None, "a key always has at least one owner"

@@ -44,7 +44,10 @@ __all__ = ["Shard", "StoreRouter", "rendezvous_score", "rendezvous_shard"]
 
 
 class Shard(Protocol):
-    """What a router needs of a shard: placement reads only its name."""
+    """What the tier needs of a shard: placement reads only its name."""
+
+    def probe(self) -> bool:
+        """A cheap health check under the bound probe deadline; True when it answered."""
 
     def close(self) -> None:
         """Release the shard's files or connections."""

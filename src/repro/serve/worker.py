@@ -33,18 +33,22 @@ from __future__ import annotations
 import argparse
 import asyncio
 import os
-import signal
 import subprocess
 import sys
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.exceptions import ConfigError, ServeError, StoreError
-from repro.serve.app import DEFAULT_DEADLINE_SECONDS, ImageService, ReproServer
+from repro.exceptions import ConfigError, StoreError
+from repro.serve.app import (
+    DEFAULT_DEADLINE_SECONDS,
+    ImageService,
+    ReproServer,
+    serve_until_sigterm,
+)
 from repro.serve.client import ServeClient
 from repro.serve.routes import server_version
 from repro.store.cache import DEFAULT_CACHE_BYTES, DEFAULT_ENCODED_CACHE_BYTES
@@ -115,37 +119,16 @@ async def _run_worker(args) -> int:
         idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
         drain_budget=args.drain_budget,
     )
-    server = ReproServer(service, args.host, args.port)
-    loop = asyncio.get_running_loop()
-    sigterm = asyncio.Event()
-    try:
-        loop.add_signal_handler(signal.SIGTERM, sigterm.set)
-    except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
-        pass
-    try:
-        await server.start()
+
+    def ready(port: int) -> None:
         # The supervisor parses this exact line for the bound port.
         print(
             "%s%s:%d (shard %s, pid %d)"
-            % (READY_PREFIX, args.host, server.port, args.shard_name, os.getpid()),
+            % (READY_PREFIX, args.host, port, args.shard_name, os.getpid()),
             flush=True,
         )
-        serving = asyncio.ensure_future(server.serve_forever())
-        waiting = asyncio.ensure_future(sigterm.wait())
-        await asyncio.wait({serving, waiting}, return_when=asyncio.FIRST_COMPLETED)
-        if sigterm.is_set():
-            await server.drain()
-        for task in (serving, waiting):
-            task.cancel()
-        await asyncio.gather(serving, waiting, return_exceptions=True)
-    finally:
-        try:
-            loop.remove_signal_handler(signal.SIGTERM)
-        except (NotImplementedError, RuntimeError, ValueError):  # pragma: no cover
-            pass
-        await server.stop()
-        service.close()
-    return 0
+
+    return await serve_until_sigterm(ReproServer(service, args.host, args.port), ready)
 
 
 def worker_main(argv: Optional[List[str]] = None) -> int:

@@ -40,7 +40,10 @@ pagination logic is one code path over :meth:`Catalog.entries`):
     mutation appends one event line and the state is replayed at open;
     the journal is rewritten as a snapshot when it grows past
     ``rewrite_factor`` lines per live entry, so a long-lived store's
-    journal stays proportional to its catalog.
+    journal stays proportional to its catalog.  Several processes may
+    share one journal (the worker processes of one shard do): appends,
+    rewrites and replays take turns under a lock file, and a rewrite
+    snapshots the journal on disk, not its own process's view.
 
 ``MemoryCatalog``
     Dict-backed, non-persistent — the fallback for custom/wrapped
@@ -59,9 +62,15 @@ import json
 import os
 import sqlite3
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: one process per journal
+    fcntl = None  # type: ignore[assignment]
 
 from repro.exceptions import BlobNotFoundError, StoreError
 
@@ -403,6 +412,20 @@ class MemoryCatalog(Catalog):
     """Non-persistent catalog — custom/wrapped backends, tests, scratch."""
 
 
+@contextmanager
+def _journal_lock(path: Path, exclusive: bool) -> Iterator[None]:
+    """Hold the lock file of journal ``path``, shared or exclusive.
+
+    The lock lives in its own file (``catalog.jsonl.lock``), which the
+    rewrite's ``os.replace`` never swaps: a writer that waited out a
+    rewrite opens the new journal, not the unlinked old one.
+    """
+    with open(str(path) + ".lock", "a") as handle:
+        if fcntl is not None:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+        yield
+
+
 class JournalCatalog(Catalog):
     """Append-only JSONL journal next to a filesystem backend root.
 
@@ -411,7 +434,10 @@ class JournalCatalog(Catalog):
     catalog replays the journal.  When the journal grows past
     ``rewrite_factor`` lines per live entry (plus a fixed floor) it is
     rewritten in place as a snapshot through the same atomic
-    write-then-rename pattern the blob backend uses.
+    write-then-rename pattern the blob backend uses.  The snapshot is
+    replayed from the journal itself, under the lock every appender
+    takes, so lines another process appended (entries and tombstones
+    this view never saw) survive it.
     """
 
     _REWRITE_FLOOR = 256
@@ -422,13 +448,18 @@ class JournalCatalog(Catalog):
             raise StoreError("journal rewrite factor must be >= 1, got %d" % rewrite_factor)
         self.path = Path(path)
         self.rewrite_factor = rewrite_factor
-        self._journal_lines = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._replay()
+        with _journal_lock(self.path, exclusive=False):
+            self._entries, self._journal_lines = self._read_journal()
+        #: Entries of the journal on disk at the last replay or rewrite.
+        self._disk_entries = len(self._entries)
 
-    def _replay(self) -> None:
+    def _read_journal(self) -> Tuple[Dict[str, CatalogEntry], int]:
+        """The entry map the journal on disk replays to, and its line count."""
+        entries: Dict[str, CatalogEntry] = {}
+        lines = 0
         if not self.path.exists():
-            return
+            return entries, lines
         with open(self.path, "r", encoding="utf-8") as handle:
             for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -439,9 +470,9 @@ class JournalCatalog(Catalog):
                     op = event["op"]
                     if op == "put":
                         entry = CatalogEntry.from_json(event["entry"])
-                        self._entries[entry.key] = entry
+                        entries[entry.key] = entry
                     elif op == "purge":
-                        self._entries.pop(str(event["key"]), None)
+                        entries.pop(str(event["key"]), None)
                     else:
                         raise StoreError("unknown journal op %r" % (op,))
                 except (KeyError, TypeError, ValueError, StoreError) as error:
@@ -449,23 +480,26 @@ class JournalCatalog(Catalog):
                         "corrupt catalog journal %s at line %d: %s"
                         % (self.path, line_number, error)
                     ) from None
-                self._journal_lines += 1
+                lines += 1
+        return entries, lines
 
     def _append(self, event: Dict[str, object]) -> None:
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._journal_lines += 1
-        threshold = self._REWRITE_FLOOR + self.rewrite_factor * max(len(self._entries), 1)
-        if self._journal_lines > threshold:
-            self._rewrite()
+        with _journal_lock(self.path, exclusive=True):
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(event, sort_keys=True) + "\n")
+                handle.flush()
+                os.fsync(handle.fileno())
+            self._journal_lines += 1
+            live = max(len(self._entries), self._disk_entries, 1)
+            if self._journal_lines > self._REWRITE_FLOOR + self.rewrite_factor * live:
+                self._rewrite()
 
     def _rewrite(self) -> None:
-        """Snapshot the live state over the journal (atomic rename)."""
+        """Snapshot the journal over itself (atomic rename; lock held)."""
+        entries, _ = self._read_journal()
         tmp = self.path.with_suffix(".jsonl.tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in self._entries.values():
+            for entry in entries.values():
                 handle.write(
                     json.dumps({"op": "put", "entry": entry.as_json()}, sort_keys=True)
                     + "\n"
@@ -473,7 +507,7 @@ class JournalCatalog(Catalog):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
-        self._journal_lines = len(self._entries)
+        self._journal_lines = self._disk_entries = len(entries)
 
     def _persist_put(self, entry: CatalogEntry) -> None:
         self._append({"op": "put", "entry": entry.as_json()})

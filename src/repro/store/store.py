@@ -128,6 +128,11 @@ _CellKey = Tuple[str, int, int]
 #: Netpbm in ~1.7 ms on a 2-CPU VM.
 MEMORY_READ_MAX_SAMPLES = 512 * 512 * 3
 
+#: Key :meth:`ImageStore.probe` asks the backend about.  ``contains`` on a
+#: key that does not exist is the cheapest data-path operation every
+#: backend supports, and it rides through fault injectors like any read.
+PROBE_KEY = "__repro_health_probe__"
+
 
 class ImageStore:
     """Keyed store of compressed image streams with cached random access.
@@ -362,6 +367,11 @@ class ImageStore:
 
     def contains(self, key: str) -> bool:
         return self.backend.contains(key)
+
+    def probe(self) -> bool:
+        """A health probe: True once the backend answered a cheap lookup."""
+        self.backend.contains(PROBE_KEY)
+        return True
 
     def delete(self, key: str) -> None:
         """Hard-remove a blob, its catalog entry and every cached artefact.

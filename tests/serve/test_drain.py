@@ -10,6 +10,7 @@ cell cache or the single-flight map for the requests that follow.
 from __future__ import annotations
 
 import io
+import os
 import signal
 import socket
 import subprocess
@@ -126,47 +127,63 @@ class TestDrain:
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         """The operator-facing contract: SIGTERM -> drain -> exit code 0."""
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.serve.cli",
-                "--port",
-                "0",
-                "--shards",
-                "2",
-                "--root",
-                str(tmp_path / "shards"),
-                "--drain-budget",
-                "5",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            assert "listening on http://" in banner
-            address = banner.split("http://", 1)[1].split(" ", 1)[0]
-            host, port_text = address.rsplit(":", 1)
-            with ServeClient(host, int(port_text)) as client:
-                assert client.healthz()["status"] == "ok"
-            process.send_signal(signal.SIGTERM)
-            returncode = process.wait(timeout=15.0)
-            assert returncode == 0
-            remainder = process.stderr.read()
-            assert "draining" in remainder
-            assert "drained" in remainder
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10.0)
-            process.stdout.close()
-            process.stderr.close()
+        assert _sigterm_drill(tmp_path) == []
 
-        # The socket really is gone.
-        with pytest.raises(OSError):
-            socket.create_connection((host, int(port_text)), timeout=1.0).close()
+    def test_sigterm_drains_proc_and_its_workers(self, tmp_path):
+        """The same lifecycle under the proc topology, worker fleet included."""
+        pids = _sigterm_drill(tmp_path, "--topology", "proc")
+        assert len(pids) == 2
+        for pid in pids:  # every worker exited before the proxy did
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def _sigterm_drill(tmp_path, *flags):
+    """Boot ``repro-serve``, SIGTERM it, check the drain; the worker pids it listed."""
+    process = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.serve.cli",
+            "--port",
+            "0",
+            "--shards",
+            "2",
+            "--root",
+            str(tmp_path / "shards"),
+            "--drain-budget",
+            "5",
+            *flags,
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert "listening on http://" in banner
+        address = banner.split("http://", 1)[1].split(" ", 1)[0]
+        host, port_text = address.rsplit(":", 1)
+        with ServeClient(host, int(port_text)) as client:
+            assert client.healthz()["status"] == "ok"
+            workers = client.stats().get("workers", {})
+        process.send_signal(signal.SIGTERM)
+        returncode = process.wait(timeout=15.0)
+        assert returncode == 0
+        remainder = process.stderr.read()
+        assert "draining" in remainder
+        assert "drained" in remainder
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
+        process.stdout.close()
+        process.stderr.close()
+
+    # The socket really is gone.
+    with pytest.raises(OSError):
+        socket.create_connection((host, int(port_text)), timeout=1.0).close()
+    return [int(row["pid"]) for rows in workers.values() for row in rows]
 
 
 class TestDeadlines:

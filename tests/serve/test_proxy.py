@@ -3,8 +3,8 @@
 The parity/e2e suites (:mod:`tests.serve.test_topologies`) prove the proc
 topology speaks the same API; this module exercises what only the proxy
 does — worker crash recovery under replication, the SIGTERM drain
-cascade, version-mismatch refusal, deadline-header forwarding and the
-worker-affinity rotation.
+cascade, version-mismatch refusal, deadline-header forwarding, the
+worker-affinity rotation and worker-group health probes.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import io
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,7 +23,7 @@ from repro.imaging.pnm import write_ppm
 from repro.imaging.synthetic import generate_planar_image
 from repro.serve.cli import shard_paths
 from repro.serve.client import ServeClient
-from repro.serve.deadline import Deadline, RequestContext
+from repro.serve.deadline import Deadline, RequestContext, bind_context
 from repro.serve.proxy import ProxyService, RemoteShard, start_proxy_thread
 from repro.serve.worker import WorkerGroup, WorkerProcess, WorkerSpec, WorkerSupervisor
 
@@ -154,6 +156,79 @@ class TestLifecycle:
         worker = WorkerProcess(broken, index=0)
         with pytest.raises(Exception, match="exited|not ready"):
             worker.spawn(timeout=20)
+
+
+class TestHealthUnderProc:
+    def test_a_worker_group_probe_needs_one_answering_worker(self, fleet, tmp_path):
+        _, supervisor = fleet
+        assert RemoteShard(supervisor.groups[0]).probe() is True
+        never_spawned = WorkerGroup(_specs(tmp_path, shards=1)[0], 2)
+        assert RemoteShard(never_spawned).probe() is False
+        bind_context(RequestContext(Deadline(0.0)))
+        try:  # a lapsed probe deadline fails the probe, live workers or not
+            assert RemoteShard(supervisor.groups[0]).probe() is False
+        finally:
+            bind_context(None)
+
+    def test_respawned_primary_rejoins_on_reads_alone(self, tmp_path):
+        """A killed primary leaves ``/healthz`` once respawned, with no writes.
+
+        Reads try a healthy owner first, so after the kill only the
+        prober can see the primary recover.
+        """
+        interval, up_after = 0.5, 2
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serve.cli", "--port", "0",
+                "--topology", "proc", "--shards", "2", "--replication", "2",
+                "--root", str(tmp_path / "shards"),
+                "--health-interval", str(interval),
+                "--health-down-after", "1",
+                "--health-up-after", str(up_after),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        try:
+            banner = process.stdout.readline()
+            address = banner.split("http://", 1)[1].split(" ", 1)[0]
+            host, port_text = address.rsplit(":", 1)
+            with ServeClient(host, int(port_text)) as client:
+                image = generate_planar_image("lena", size=24, seed=91, planes=3)
+                outcome = client.put_image(_ppm_bytes(image), stripes=4)
+                key, primary = outcome["key"], outcome["shard"]
+                victim = client.stats()["workers"][primary][0]
+                os.kill(int(victim["pid"]), signal.SIGKILL)
+
+                def down():
+                    return primary in client.healthz().get("shards_down", [])
+
+                give_up = time.monotonic() + 30.0
+                while not down():
+                    assert time.monotonic() < give_up, "the killed primary never went down"
+                    assert client.get_region(key, 0, 1).height > 0
+                while True:
+                    row = client.stats()["workers"][primary][0]
+                    if row["restarts"] >= 1 and row["up"]:
+                        break
+                    assert time.monotonic() < give_up, "the primary's worker never respawned"
+                    assert client.get_region(key, 0, 1).height > 0
+                respawned = time.monotonic()
+                while down():
+                    assert time.monotonic() - respawned < (up_after + 2) * interval, (
+                        "%s still down %.1fs after its worker respawned"
+                        % (primary, time.monotonic() - respawned)
+                    )
+                    assert client.get_region(key, 0, 1).height > 0
+        finally:
+            process.terminate()
+            try:
+                process.wait(timeout=30.0)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait(timeout=10.0)
+            process.stdout.close()
 
 
 class TestAffinityAndForwarding:

@@ -179,14 +179,19 @@ def test_policy_matches_the_model(operation, runner, data, shards):
         successes = after[name]["successes"] - before[name]["successes"]
         assert failures == (1 if code in FAILED else 0), (name, code)
         assert successes == (0 if code in FAILED or code in ("deadline", "untried") else 1)
-    # Counters: one per owner failure, reads and writes kept apart.
+    # Counters: one owner failure per failed owner; a failover per failed
+    # owner only when the operation was still served; reads and writes
+    # kept apart.
     counter = "failovers" if reading else "write_failovers"
     other = "write_failovers" if reading else "failovers"
     failed = [name for name in tried if CODES[script[name]] in FAILED]
-    assert replicas.stats.counter(counter) == len(failed)
+    covered = failed if expected_code is None else []
+    assert replicas.stats.counter("owner_failures") == len(failed)
+    assert replicas.stats.counter(counter) == len(covered)
     assert replicas.stats.counter(other) == 0
     for name in names:
-        assert replicas.stats.shard_counter(name, counter) == (1 if name in failed else 0)
+        assert replicas.stats.shard_counter(name, "owner_failures") == (1 if name in failed else 0)
+        assert replicas.stats.shard_counter(name, counter) == (1 if name in covered else 0)
 
 
 @pytest.mark.parametrize("runner", ["run", "arun"])

@@ -357,6 +357,24 @@ class TestFaultParity:
         assert envelope["code"] == "internal"
         assert "CRC mismatch" in envelope["error"]
 
+    def test_failovers_count_only_owner_failures_a_replica_covered(self, replicated):
+        # R=1: the corrupt owner fails and nothing covers it.
+        lone = replicated(replication=1)
+        outcome = json.loads(lone.put(seed=66)[2])
+        lone.corrupt(outcome["shard"], outcome["key"])
+        assert _raw(lone.handle.address, "GET", "/images/" + outcome["key"])[0] == 500
+        counters = lone.counters()
+        assert counters.get("owner_failures", 0) == 1
+        assert counters.get("failovers", 0) == 0
+        # R=2: the replica covers the corrupt primary, one of each.
+        pair = replicated()
+        outcome = json.loads(pair.put(seed=67)[2])
+        pair.corrupt(outcome["shard"], outcome["key"])
+        assert _raw(pair.handle.address, "GET", "/images/" + outcome["key"])[0] == 200
+        counters = pair.counters()
+        assert counters.get("owner_failures", 0) == 1
+        assert counters.get("failovers", 0) == 1
+
     def test_missing_key_with_an_owner_down_is_upstream_unhealthy(self, replicated):
         server = replicated()
         server.cut("shard-00")

@@ -10,6 +10,7 @@ on a tag no entry carries.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
@@ -250,6 +251,68 @@ class TestPersistence:
         catalog.purge("a")
         reopened = JournalCatalog(path)
         assert reopened.get("a") is None and reopened.get("b") is not None
+
+    @staticmethod
+    def _churn_past_rewrite(catalog):
+        for round_number in range(300):
+            catalog.record_put(_entry("b%d" % (round_number % 10)))
+
+    def test_shared_journal_rewrite_keeps_the_other_views_puts(self, tmp_path):
+        # Two views of one journal, as the worker processes of one shard
+        # hold: B's churn passes its rewrite threshold, and the snapshot
+        # must keep the put A appended, which B never saw.
+        path = tmp_path / "catalog.jsonl"
+        a, b = JournalCatalog(path), JournalCatalog(path)
+        a.record_put(_entry("only-a"))
+        self._churn_past_rewrite(b)
+        assert len(path.read_text().strip().splitlines()) < 300  # B rewrote it
+        reopened = JournalCatalog(path)
+        assert len(reopened) == 11
+        assert reopened.get("only-a") is not None
+
+    def test_shared_journal_rewrite_keeps_the_other_views_tombstones(self, tmp_path):
+        path = tmp_path / "catalog.jsonl"
+        a = JournalCatalog(path)
+        a.record_put(_entry("shared"))
+        b = JournalCatalog(path)  # B sees "shared" live
+        a.mark_deleted("shared", deleted_at=5.0)
+        self._churn_past_rewrite(b)
+        shared = JournalCatalog(path).get("shared")
+        assert shared is not None and shared.deleted
+
+    def test_concurrent_views_rewriting_one_journal_lose_no_entry(
+        self, tmp_path, monkeypatch
+    ):
+        # More writers than cores, each with its own view (so its own lock
+        # file handle); re-puts of a hot key make every view rewrite every
+        # few appends, and a put landing between another view's snapshot
+        # read and its rename would lose its key for good.
+        monkeypatch.setattr(JournalCatalog, "_REWRITE_FLOOR", 4)
+        path = tmp_path / "catalog.jsonl"
+        views = [JournalCatalog(path, rewrite_factor=1) for _ in range(4)]
+
+        def put_all(index, view):
+            for number in range(60):
+                view.record_put(_entry("v%d-k%d" % (index, number)))
+                for _ in range(3):
+                    view.record_put(_entry("v%d-hot" % index))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=put_all, args=pair) for pair in enumerate(views)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        expected = {"v%d-k%d" % (i, k) for i in range(4) for k in range(60)}
+        expected.update("v%d-hot" % i for i in range(4))
+        assert {entry.key for entry in JournalCatalog(path).entries()} == expected
 
     def test_corrupt_journal_fails_loudly(self, tmp_path):
         path = tmp_path / "catalog.jsonl"
