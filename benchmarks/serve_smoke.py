@@ -11,7 +11,9 @@ every endpoint through :class:`repro.serve.client.ServeClient`:
 * a thread herd on one cold region with a coalescing assertion
   (``/stats`` must report coalesced requests and at most 2 backend
   decodes for the herd);
-* ``/healthz`` and ``/stats`` (including the cache byte-occupancy fields).
+* ``/healthz`` and ``/stats`` (including the cache byte-occupancy fields,
+  a ``hit_rate`` in [0, 1] per shard, and stored blobs counted once per
+  shard under ``--topology proc``).
 
 Any non-2xx answer raises, any assertion failure exits non-zero, and the
 server process is always torn down.  Usage::
@@ -214,6 +216,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             assert stats["server"]["requests_total"] > 0
             for shard in stats["shards"]:
                 assert "current_bytes" in shard["cache"], "cache bytes missing"
+                assert 0.0 <= shard["cache"]["hit_rate"] <= 1.0, (
+                    "%s cache hit_rate %r is not a ratio"
+                    % (shard["name"], shard["cache"]["hit_rate"])
+                )
+            # Two keys stored, each on min(R, shards) shards: a shard's
+            # workers share one store, so it must be counted once.
+            blobs = sum(int(shard["backend"]["blobs"]) for shard in stats["shards"])
+            expected_blobs = 2 * min(args.replication, args.shards)
+            assert blobs == expected_blobs, (
+                "/stats counts %d stored blobs, expected %d" % (blobs, expected_blobs)
+            )
             client.close()
             print("serve-smoke: PASS")
             return 0

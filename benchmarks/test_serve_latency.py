@@ -27,7 +27,7 @@ import time
 
 from repro.core.cellgrid import encode_grid
 from repro.core.config import CodecConfig
-from repro.experiments.serve_bench import run_encoded_tier_bench, run_serve_bench
+from repro.experiments.serve_bench import run_serve_bench
 from repro.imaging.synthetic import generate_planar_image
 from repro.serve.app import ImageService
 from repro.store.backends import FilesystemBackend
@@ -84,28 +84,6 @@ def test_serve_warm_p50_beats_cold_p50(ablation_size, record_report):
     assert result.stream_ttfb_p50_ms < result.buffered_full_p50_ms, (
         "streamed TTFB p50 %.2f ms did not beat the buffered full-assembly "
         "p50 %.2f ms" % (result.stream_ttfb_p50_ms, result.buffered_full_p50_ms)
-    )
-
-
-def test_encoded_tier_beats_decoded_only_on_cold_cache(record_report):
-    # Cold decoded cache on both sides (cache_bytes=0): every region read
-    # pays its entropy decodes.  The encoded tier answers the repeat reads
-    # from memory — zero backend operations — while the decoded-only
-    # baseline pays the injected backend latency on every request.
-    result = run_encoded_tier_bench(
-        size=32, stripes=4, repeats=20, injected_latency_ms=5.0
-    )
-    path = record_report("encoded_tier", result.format_report())
-    assert path.exists()
-
-    assert result.encoded_hits > 0, "the encoded tier never served a hit"
-    assert result.encoded_backend_ops == 0, (
-        "the encoded tier still performed %d backend operations"
-        % result.encoded_backend_ops
-    )
-    assert result.encoded_p50_ms < result.decoded_only_p50_ms, (
-        "warm-encoded p50 %.2f ms did not beat the decoded-only p50 %.2f ms"
-        % (result.encoded_p50_ms, result.decoded_only_p50_ms)
     )
 
 

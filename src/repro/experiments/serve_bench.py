@@ -22,13 +22,6 @@ serving regimes end to end:
   must beat the buffered response's full-assembly total (the streamed
   Netpbm header goes on the wire before any stripe decodes).
 
-:func:`run_encoded_tier_bench` is the companion store-level experiment for
-the encoded-bytes cache tier: with the decoded cache disabled (every
-region read pays its entropy decodes) and a fault-injected slow backend,
-the encoded tier answers repeat reads from memory while the decoded-only
-baseline pays the backend latency every time.  The two stores' reads
-alternate, so a change of machine speed mid-run hits both alike.
-
 Percentiles are exact (client-side samples, not histogram buckets).  With
 ``duration`` set the warm phase becomes a soak: the loop runs for that
 many seconds and the result carries the server's own per-endpoint latency
@@ -52,9 +45,6 @@ from repro.imaging.synthetic import (
     generate_image,
     generate_planar_image,
 )
-from repro.core.cellgrid import encode_grid
-from repro.core.config import CodecConfig
-from repro.imaging.synthetic import generate_noise_image
 from repro.serve.app import ImageService, start_server_thread
 from repro.serve.chaos import FaultInjector
 from repro.serve.client import ServeClient
@@ -68,10 +58,8 @@ from repro.store.store import ImageStore
 STAMPEDE_BACKEND_LATENCY_S = 0.05
 
 __all__ = [
-    "EncodedTierBenchResult",
     "ServeBenchResult",
     "TopologyBenchResult",
-    "run_encoded_tier_bench",
     "run_serve_bench",
     "run_serve_soak",
     "run_topology_bench",
@@ -684,132 +672,4 @@ def run_topology_bench(
         finally:
             handle.stop()
             service.close()
-    return result
-
-
-@dataclass
-class EncodedTierBenchResult:
-    """Encoded-bytes tier vs decoded-only baseline on cold-cache reads."""
-
-    size: int
-    seed: int
-    stripes: int
-    repeats: int
-    injected_latency_ms: float
-    encoded_samples_ms: List[float] = field(default_factory=list)
-    decoded_only_samples_ms: List[float] = field(default_factory=list)
-    encoded_hits: int = 0
-    encoded_backend_ops: int = 0
-    decoded_only_backend_ops: int = 0
-
-    @property
-    def encoded_p50_ms(self) -> float:
-        return _percentile(self.encoded_samples_ms, 0.50)
-
-    @property
-    def decoded_only_p50_ms(self) -> float:
-        return _percentile(self.decoded_only_samples_ms, 0.50)
-
-    def format_report(self) -> str:
-        return "\n".join(
-            [
-                "%-28s %10s" % ("variant (cold decoded cache)", "p50"),
-                "%-28s %8.2f ms"
-                % ("encoded tier (hits: %d)" % self.encoded_hits, self.encoded_p50_ms),
-                "%-28s %8.2f ms" % ("decoded-only", self.decoded_only_p50_ms),
-                "backend ops during the timed loop: %d with the encoded tier, "
-                "%d decoded-only (injected backend latency %.1f ms)"
-                % (
-                    self.encoded_backend_ops,
-                    self.decoded_only_backend_ops,
-                    self.injected_latency_ms,
-                ),
-            ]
-        )
-
-    def as_json(self) -> Dict[str, Any]:
-        return {
-            "bpp": {},
-            "mb_per_s": {},
-            "extra": {
-                "encoded_p50_ms": self.encoded_p50_ms,
-                "decoded_only_p50_ms": self.decoded_only_p50_ms,
-                "encoded_hits": self.encoded_hits,
-                "encoded_backend_ops": self.encoded_backend_ops,
-                "decoded_only_backend_ops": self.decoded_only_backend_ops,
-                "injected_latency_ms": self.injected_latency_ms,
-                "repeats": self.repeats,
-                "size": self.size,
-                "seed": self.seed,
-                "stripes": self.stripes,
-            },
-        }
-
-
-def run_encoded_tier_bench(
-    size: int = 48,
-    seed: int = 2007,
-    stripes: int = 6,
-    repeats: int = 30,
-    injected_latency_ms: float = 5.0,
-) -> EncodedTierBenchResult:
-    """Measure the encoded-bytes tier against a decoded-only baseline.
-
-    Both stores run with the decoded cache disabled (``cache_bytes=0``), so
-    every region read pays its entropy decodes — the cold-decoded-cache
-    regime the encoded tier exists for.  The backend is wrapped in a
-    :class:`~repro.serve.chaos.FaultInjector` carrying a fixed per-operation
-    latency (a deterministic model of a slow disk or remote blob store):
-    the encoded tier answers repeat reads from memory and skips that
-    latency entirely, while the decoded-only baseline pays it on every
-    request.
-    """
-    if repeats < 1:
-        raise ConfigError("repeats must be at least 1, got %d" % repeats)
-    if injected_latency_ms < 0.0:
-        raise ConfigError(
-            "injected latency must be >= 0, got %r" % (injected_latency_ms,)
-        )
-    image = generate_noise_image(size=size, seed=seed)
-    data, _ = encode_grid(image, CodecConfig.hardware(), stripes=stripes)
-
-    result = EncodedTierBenchResult(
-        size=size,
-        seed=seed,
-        stripes=stripes,
-        repeats=repeats,
-        injected_latency_ms=injected_latency_ms,
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-encoded-bench-") as root:
-        variants = {}
-        for variant, encoded_cache_bytes in (("encoded", 32 << 20), ("decoded-only", 0)):
-            store = ImageStore.open(
-                "%s/%s" % (root, variant),
-                cache_bytes=0,
-                encoded_cache_bytes=encoded_cache_bytes,
-            )
-            injector = FaultInjector(store.backend)
-            store.backend = injector
-            key = store.put_stream(data)
-            injector.add_latency(injected_latency_ms / 1e3)
-            store.get_region(key, (0, stripes))  # prime the encoded tier
-            variants[variant] = (store, injector, injector.stats()["chaos"]["operations"])
-        samples = {
-            "encoded": result.encoded_samples_ms,
-            "decoded-only": result.decoded_only_samples_ms,
-        }
-        for _ in range(repeats):
-            for variant, (store, _, _) in variants.items():
-                begin = time.perf_counter()
-                store.get_region(key, (0, stripes))
-                samples[variant].append(1e3 * (time.perf_counter() - begin))
-        operations = {
-            variant: injector.stats()["chaos"]["operations"] - before
-            for variant, (_, injector, before) in variants.items()
-        }
-        result.encoded_backend_ops = operations["encoded"]
-        result.decoded_only_backend_ops = operations["decoded-only"]
-        result.encoded_hits = variants["encoded"][0].encoded_cache.stats.hits
-        for store, _, _ in variants.values():
-            store.close()
     return result

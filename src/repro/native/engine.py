@@ -5,10 +5,8 @@ The functions here mirror :func:`repro.fast.engine.encode_payload_fast` /
 types on the same inputs — but execute the hot loops through the
 ``nopython`` kernels of :mod:`repro.native.kernels`.  The encode side reuses
 the fast engine's row-vectorized modelling front-end
-(:func:`repro.fast.rowmodel.model_image`); the decode side consumes the
-payload through :func:`numpy.frombuffer`, so a ``memoryview`` over an
-mmap'ed blob is decoded **without copying the encoded bytes** (the
-zero-copy read path of the store tier).
+(:func:`repro.fast.rowmodel.model_image`); the decode side reads the
+payload bytes in place through :func:`numpy.frombuffer`.
 """
 
 from __future__ import annotations
@@ -205,9 +203,8 @@ def decode_payload_native(
 ) -> List[int]:
     """Native-engine equivalent of :func:`repro.core.decoder.decode_payload`.
 
-    ``payload`` may be any object exposing the buffer protocol (``bytes``,
-    ``memoryview``, an mmap'ed slice): the kernel reads it in place through
-    :func:`numpy.frombuffer` without copying.
+    The kernel reads ``payload`` in place through :func:`numpy.frombuffer`
+    without copying.
     """
     if width <= 0:
         raise ModelStateError("window width must be positive, got %d" % width)

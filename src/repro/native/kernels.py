@@ -393,8 +393,7 @@ def decode_cell_kernel(
 ):
     """Fully inlined decoder over one cell payload.
 
-    ``data`` is the raw payload (``uint8``, possibly a zero-copy view over
-    an mmap'ed blob — the kernel only reads it); ``pixels`` (``int64``,
+    ``data`` is the raw payload (``uint8``, read only); ``pixels`` (``int64``,
     ``height * width``) receives the reconstruction and doubles as the
     causal window (rows decoded earlier are read back by index).  Returns
     one of the ``DECODE_*`` status codes.

@@ -43,8 +43,9 @@ degrades instead of buckling:
   :class:`~repro.serve.deadline.RequestContext` into the thread-pool
   offload; when the budget lapses (or the client disconnects) the HTTP
   layer answers ``504`` and the worker abandons the decode at the next
-  cell boundary through the store's ``cell_hook`` seam, so expired work
-  cannot pin the pool;
+  cell boundary through the store's ``cell_hook`` seam (a PUT's encode
+  checks the same context before each cell), so expired work cannot pin
+  the pool;
 * **graceful drain** — :meth:`ReproServer.drain` stops accepting, lets
   in-flight requests finish within a budget and then closes lingering
   connections; :func:`serve_until_sigterm`, the one lifecycle of
@@ -240,6 +241,25 @@ def image_to_netpbm(image: Union[GrayImage, PlanarImage]) -> Tuple[bytes, str]:
     return buffer.getvalue(), _CONTENT_TYPES[kind]
 
 
+class _CheckpointedCells:
+    """The :func:`encode_grid` executor of PUT bodies.
+
+    Cells run inline, each after :func:`context_cell_hook`, so a lapsed
+    or abandoned PUT stops encoding at the next cell boundary.
+    """
+
+    @staticmethod
+    def map(encode: Callable[[_T], Any], cells: Sequence[_T]) -> List[Any]:
+        results: List[Any] = []
+        for cell in cells:
+            context_cell_hook()
+            results.append(encode(cell))
+        return results
+
+
+_CHECKPOINTED_CELLS = _CheckpointedCells()
+
+
 def encode_body(
     body: bytes, engine: str, stripes: int, plane_delta: bool
 ) -> Tuple[bytes, bool]:
@@ -247,7 +267,8 @@ def encode_body(
 
     Routing needs the content key, which is the hash of the *encoded*
     stream, so a Netpbm body is encoded before any owner is picked; a
-    ready container passes through untouched.
+    ready container passes through untouched.  The encode checks the
+    request context bound to this thread before every cell.
     """
     if not body:
         raise ConfigError("PUT body is empty — expected a Netpbm image or container")
@@ -256,7 +277,12 @@ def encode_body(
     image = read_image(io.BytesIO(body))
     config = CodecConfig.hardware(bit_depth=image.bit_depth)
     stream, _ = encode_grid(
-        image, config, engine=engine, stripes=stripes, plane_delta=plane_delta
+        image,
+        config,
+        engine=engine,
+        stripes=stripes,
+        plane_delta=plane_delta,
+        executor=_CHECKPOINTED_CELLS,
     )
     return stream, True
 
@@ -557,6 +583,9 @@ class ImageService(BaseService[ImageStore]):
                 # read paths — and it is equally bad on every shard.
                 raise ConfigError("request body is not a valid container: %s" % error)
 
+        context = current_context()
+        if context is not None:
+            context.check("PUT")  # a lapsed PUT stores nothing
         stored = self.replicas.run(key, put, reading=False)
         assert all(stored_key == key for _name, stored_key in stored)
         return self.put_outcome(key, len(stream), encoded, stored)

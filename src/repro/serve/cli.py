@@ -40,7 +40,7 @@ from repro.serve.app import (
     ReproServer,
     serve_until_sigterm,
 )
-from repro.store.cache import DEFAULT_CACHE_BYTES, DEFAULT_ENCODED_CACHE_BYTES
+from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.store import ImageStore
 
 __all__ = ["serve_main", "build_parser", "open_shards", "shard_paths"]
@@ -118,28 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CACHE_BYTES,
         metavar="N",
         help="decoded-cell LRU budget per shard in bytes (default 32 MiB; 0 disables)",
-    )
-    parser.add_argument(
-        "--encoded-cache-bytes",
-        type=int,
-        default=DEFAULT_ENCODED_CACHE_BYTES,
-        metavar="N",
-        help="encoded-bytes LRU budget per shard: raw cell bytes kept below "
-        "the decoded cache, so warm-ish hits skip backend I/O but still "
-        "decode (default 0: disabled)",
-    )
-    parser.add_argument(
-        "--admission",
-        choices=("always", "second-touch"),
-        default="always",
-        help="cell-cache admission policy for both tiers: cache on first "
-        "decode, or only cells seen at least twice (default always)",
-    )
-    parser.add_argument(
-        "--mmap",
-        action="store_true",
-        help="serve fs-backend range reads as zero-copy memoryviews over "
-        "mmap'ed blobs (ignored for the sqlite backend)",
     )
     parser.add_argument(
         "--engine",
@@ -273,26 +251,12 @@ def open_shards(
     backend: str,
     cache_bytes: int,
     engine: str,
-    admission: str = "always",
-    encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
-    use_mmap: bool = False,
 ) -> List[ImageStore]:
     """Open ``shards`` stores under ``root`` with the standard shard layout."""
-    stores: List[ImageStore] = []
-    for index in range(shards):
-        name = "shard-%02d" % index
-        path = root / (name + ".sqlite") if backend == "sqlite" else root / name
-        stores.append(
-            ImageStore.open(
-                path,
-                use_mmap=use_mmap,
-                cache_bytes=cache_bytes,
-                engine=engine,
-                cache_admission=admission,
-                encoded_cache_bytes=encoded_cache_bytes,
-            )
-        )
-    return stores
+    return [
+        ImageStore.open(path, cache_bytes=cache_bytes, engine=engine)
+        for path in shard_paths(root, shards, backend)
+    ]
 
 
 def shard_paths(root: Path, shards: int, backend: str) -> List[Path]:
@@ -335,9 +299,6 @@ def _proc_server(args, root: Path) -> ReproServer:
             store_path=path,
             backend=args.backend,
             cache_bytes=args.cache_bytes,
-            encoded_cache_bytes=args.encoded_cache_bytes,
-            admission=args.admission,
-            use_mmap=args.mmap,
             engine=args.engine,
             threads=args.workers,
             max_inflight=args.max_inflight,
@@ -358,14 +319,7 @@ def _proc_server(args, root: Path) -> ReproServer:
 def _thread_server(args, root: Path) -> ReproServer:
     """The in-process topology: every shard's store behind one pool."""
     stores = open_shards(
-        root,
-        args.shards,
-        args.backend,
-        args.cache_bytes,
-        args.engine,
-        args.admission,
-        encoded_cache_bytes=args.encoded_cache_bytes,
-        use_mmap=args.mmap,
+        root, args.shards, args.backend, args.cache_bytes, args.engine
     )
     # The highest-numbered shard of a --reshard boot is the one joining:
     # serve the old membership and add it through the live-reshard path,
@@ -424,8 +378,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         parser.error("--shards must be at least 1")
     if args.cache_bytes < 0:
         parser.error("--cache-bytes must be >= 0")
-    if args.encoded_cache_bytes < 0:
-        parser.error("--encoded-cache-bytes must be >= 0")
     if args.port < 0 or args.port > 65535:
         parser.error("--port must be in [0, 65535]")
     if args.workers is not None and args.workers < 1:

@@ -1,4 +1,4 @@
-"""Request deadlines propagated from the HTTP layer into decode work.
+"""Request deadlines propagated from the HTTP layer into decode and encode work.
 
 Every admitted request gets a :class:`RequestContext`: a monotonic
 :class:`Deadline` plus a cancellation latch.  The context rides into the
@@ -9,6 +9,8 @@ from the event loop — can *cooperatively* abandon itself:
 * the store's per-cell decode hook calls :meth:`RequestContext.check`
   between cells, so a decode whose client timed out or disconnected stops
   at the next cell boundary instead of burning a worker to completion;
+  a PUT's encode runs the same check before each cell, and once more
+  before its first write, so a lapsed PUT stores nothing;
 * the chaos fault injector polls :attr:`RequestContext.should_abort`
   inside stalls, so a stalled backend read frees its worker as soon as
   the request is abandoned;
@@ -139,12 +141,13 @@ def current_context() -> Optional[RequestContext]:
 
 
 def context_cell_hook() -> None:
-    """Per-cell decode checkpoint: abort abandoned or expired requests.
+    """Per-cell checkpoint: abort abandoned or expired requests.
 
     Installed as :attr:`repro.store.store.ImageStore.cell_hook` by the
-    serving tier — the seam that makes deadline expiry actually stop a
-    multi-cell decode instead of merely timing out the HTTP response.
+    serving tier, and run before each cell a PUT encodes — the seam that
+    makes deadline expiry actually stop a multi-cell decode or encode
+    instead of merely timing out the HTTP response.
     """
     context = current_context()
     if context is not None:
-        context.check("decode")
+        context.check("cell work")

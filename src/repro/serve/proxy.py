@@ -525,6 +525,27 @@ def _merge_counters(target: Dict[str, object], source: Dict[str, object]) -> Non
             target.setdefault(key, value)
 
 
+def _merge_shard_section(target: Dict[str, object], section: Dict[str, object]) -> None:
+    """Merge one worker's shard section into its group's fleet view.
+
+    The group's workers open the same store directory, so its ``backend``
+    and ``catalog`` sections come from the first answering worker, not a
+    sum over the group (the catalog is that worker's own view of the
+    shared journal).  Every per-process counter adds, and the cache's
+    ``hit_rate`` is recomputed from the summed hits and misses.
+    """
+    section = dict(section)
+    for name in ("backend", "catalog"):
+        if name in section:
+            target.setdefault(name, section.pop(name))
+    _merge_counters(target, section)
+    cache = target.get("cache")
+    if isinstance(cache, dict):
+        hits, misses = cache.get("hits", 0), cache.get("misses", 0)
+        lookups = hits + misses
+        cache["hit_rate"] = hits / lookups if lookups else 0.0
+
+
 class ProxyService(BaseService[RemoteShard]):
     """The proxy's service: :class:`~repro.serve.app.BaseService` over worker groups.
 
@@ -563,11 +584,13 @@ class ProxyService(BaseService[RemoteShard]):
     def _plane_stats(self) -> Dict[str, object]:
         """The worker documents merged counter-by-counter, plus the fleet.
 
-        ``flight`` and ``shards`` sum every worker's sections, so
+        ``flight`` and each shard's cache counters sum every worker's, so
         coalescing and cache behaviour stay observable per shard no
-        matter how many processes serve it; ``workers`` reports the
-        process fleet (pids, ports, restart counts) for operators and the
-        chaos drill.
+        matter how many processes serve it, while the shard's shared
+        ``backend`` and ``catalog`` are reported once
+        (:func:`_merge_shard_section`); ``workers`` reports the process
+        fleet (pids, ports, restart counts) for operators and the chaos
+        drill.
         """
         flight: Dict[str, object] = {}
         sections: List[Dict[str, object]] = []
@@ -582,7 +605,7 @@ class ProxyService(BaseService[RemoteShard]):
                     _merge_counters(flight, worker_flight)
                 for shard_section in document.get("shards", ()):
                     if isinstance(shard_section, dict):
-                        _merge_counters(merged, shard_section)
+                        _merge_shard_section(merged, shard_section)
             merged["name"] = group.shard_name
             merged["joining"] = False
             sections.append(merged)

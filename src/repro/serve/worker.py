@@ -25,7 +25,7 @@ Process lifecycle lives here too:
 
 Workers of one shard share the shard's backend path — content-addressed
 blobs written through any of them are readable by all — while each keeps
-its own decoded/encoded caches and catalog view.
+its own decoded-cell cache and catalog view.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.serve.app import (
 )
 from repro.serve.client import ServeClient
 from repro.serve.routes import server_version
-from repro.store.cache import DEFAULT_CACHE_BYTES, DEFAULT_ENCODED_CACHE_BYTES
+from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.store import ImageStore
 
 __all__ = [
@@ -83,13 +83,6 @@ def build_worker_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", required=True, help="path of this shard's store")
     parser.add_argument("--shard-name", required=True)
     parser.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES)
-    parser.add_argument(
-        "--encoded-cache-bytes", type=int, default=DEFAULT_ENCODED_CACHE_BYTES
-    )
-    parser.add_argument(
-        "--admission", choices=("always", "second-touch"), default="always"
-    )
-    parser.add_argument("--mmap", action="store_true")
     parser.add_argument("--engine", default="reference")
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--max-inflight", type=int, default=256)
@@ -102,12 +95,7 @@ def build_worker_parser() -> argparse.ArgumentParser:
 
 async def _run_worker(args) -> int:
     store = ImageStore.open(
-        Path(args.store),
-        use_mmap=args.mmap,
-        cache_bytes=args.cache_bytes,
-        engine=args.engine,
-        cache_admission=args.admission,
-        encoded_cache_bytes=args.encoded_cache_bytes,
+        Path(args.store), cache_bytes=args.cache_bytes, engine=args.engine
     )
     service = ImageService(
         [store],
@@ -153,9 +141,6 @@ class WorkerSpec:
     store_path: Path
     backend: str = "fs"
     cache_bytes: int = DEFAULT_CACHE_BYTES
-    encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES
-    admission: str = "always"
-    use_mmap: bool = False
     engine: str = "reference"
     threads: Optional[int] = None
     max_inflight: int = 256
@@ -177,10 +162,6 @@ class WorkerSpec:
             "0",
             "--cache-bytes",
             str(self.cache_bytes),
-            "--encoded-cache-bytes",
-            str(self.encoded_cache_bytes),
-            "--admission",
-            self.admission,
             "--engine",
             self.engine,
             "--max-inflight",
@@ -194,8 +175,6 @@ class WorkerSpec:
             "--drain-budget",
             str(self.drain_budget),
         ]
-        if self.use_mmap:
-            argv.append("--mmap")
         if self.threads is not None:
             argv.extend(["--threads", str(self.threads)])
         return argv

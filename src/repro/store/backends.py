@@ -10,18 +10,13 @@ O(blob).  Two backends ship:
     characters of the key (content hashes distribute uniformly, so no shard
     ever degenerates).  Range reads are a seek; writes go through a
     temporary file + rename so a crash never leaves a half-written blob
-    under a valid key.  With ``use_mmap=True`` range reads return
-    :class:`memoryview` slices over an mmap'ed blob instead of copying —
-    the zero-copy read path of the serve tier.  A view pins its mapping:
-    replacing or deleting a blob drops the backend's reference to the old
-    map, but readers still holding views keep reading the *old* bytes
-    (the kernel keeps replaced pages valid until the last view dies),
-    which is exactly the store's pin-during-read semantics.
+    under a valid key.
 
 Batched reads go through :meth:`BlobBackend.read_ranges`, which both
-backends override to touch the blob **once per request** — one open (or
-one cached mmap) for the filesystem, one lock acquisition for SQLite —
-instead of re-opening per cell like per-cell ``read_range`` loops used to.
+backends override to touch the blob **once per request** — one open for
+the filesystem, one lock acquisition for SQLite — instead of re-opening
+per cell like per-cell ``read_range`` loops used to.  Range reads return
+``bytes``.
 
 ``SQLiteBackend``
     A single-file SQLite database.  Range reads use ``substr`` on the BLOB
@@ -40,12 +35,10 @@ directory).
 from __future__ import annotations
 
 import abc
-import mmap
 import os
 import sqlite3
 import tempfile
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -57,13 +50,6 @@ __all__ = [
     "SQLiteBackend",
     "open_backend",
 ]
-
-#: What a range read yields: plain bytes, or a zero-copy ``memoryview``
-#: (mmap mode).  Everything downstream — CRC verification, the entropy
-#: decoders, the encoded-bytes cache — consumes either through the buffer
-#: protocol.
-Buffer = Union[bytes, memoryview]
-
 
 class BlobBackend(abc.ABC):
     """Flat keyed blob storage with O(length) range reads."""
@@ -77,12 +63,12 @@ class BlobBackend(abc.ABC):
         """Fetch the whole blob."""
 
     @abc.abstractmethod
-    def read_range(self, key: str, offset: int, length: int) -> Buffer:
+    def read_range(self, key: str, offset: int, length: int) -> bytes:
         """Fetch ``length`` bytes starting at ``offset`` (clamped at EOF)."""
 
     def read_ranges(
         self, key: str, spans: Sequence[Tuple[int, int]]
-    ) -> List[Buffer]:
+    ) -> List[bytes]:
         """Fetch several ``(offset, length)`` spans of one blob.
 
         The default loops :meth:`read_range`; backends override it to pay
@@ -135,74 +121,18 @@ def _check_key(key: str) -> str:
 
 
 class FilesystemBackend(BlobBackend):
-    """One file per blob under ``root``, sharded by key prefix.
-
-    With ``use_mmap=True`` the backend keeps a bounded LRU of mmap'ed
-    blobs (``mmap_blobs`` entries) and serves range reads as
-    :class:`memoryview` slices over them — zero copies between the page
-    cache and the entropy decoder.  Mappings are never ``close()``d
-    explicitly: a view exported from an mmap pins it (closing would raise
-    ``BufferError``), so the backend just drops its reference on
-    eviction, overwrite, delete and :meth:`close`, and the OS reclaims
-    the mapping when the last outstanding view dies.  Because ``put``
-    replaces files via ``os.replace``, readers holding views over a
-    replaced blob keep seeing the old, internally-consistent bytes.
-    """
+    """One file per blob under ``root``, sharded by key prefix."""
 
     _SUFFIX = ".rplc"
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        use_mmap: bool = False,
-        mmap_blobs: int = 128,
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        if mmap_blobs < 1:
-            raise StoreError("mmap_blobs must be at least 1, got %d" % mmap_blobs)
-        self.use_mmap = bool(use_mmap)
-        self._mmap_blobs = mmap_blobs
-        self._maps: "OrderedDict[str, mmap.mmap]" = OrderedDict()
-        self._maps_lock = threading.Lock()
 
     def _path(self, key: str) -> Path:
         _check_key(key)
         shard = key[:2] if len(key) > 2 else "__"
         return self.root / shard / (key + self._SUFFIX)
-
-    def _drop_map(self, key: str) -> None:
-        """Forget a cached mapping (outstanding views keep it alive)."""
-        with self._maps_lock:
-            self._maps.pop(key, None)
-
-    def _mapped(self, key: str) -> memoryview:
-        """Zero-copy view over the whole blob, via the bounded mmap LRU."""
-        with self._maps_lock:
-            mapped = self._maps.get(key)
-            if mapped is not None:
-                self._maps.move_to_end(key)
-                return memoryview(mapped)
-        try:
-            with open(self._path(key), "rb") as handle:
-                size = os.fstat(handle.fileno()).st_size
-                if size == 0:
-                    # Zero-length files cannot be mapped; an empty view
-                    # has the same reads (none).
-                    return memoryview(b"")
-                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except FileNotFoundError:
-            raise BlobNotFoundError("no blob stored under key %r" % key) from None
-        with self._maps_lock:
-            raced = self._maps.get(key)
-            if raced is not None:
-                # Another thread mapped the same blob first; use theirs.
-                self._maps.move_to_end(key)
-                return memoryview(raced)
-            self._maps[key] = mapped
-            while len(self._maps) > self._mmap_blobs:
-                self._maps.popitem(last=False)
-        return memoryview(mapped)
 
     def put(self, key: str, data: bytes) -> None:
         path = self._path(key)
@@ -220,9 +150,6 @@ class FilesystemBackend(BlobBackend):
             except OSError:
                 pass
             raise
-        # The old inode stays mapped for readers mid-flight, but new reads
-        # must see the new bytes.
-        self._drop_map(key)
 
     def get(self, key: str) -> bytes:
         try:
@@ -230,10 +157,7 @@ class FilesystemBackend(BlobBackend):
         except FileNotFoundError:
             raise BlobNotFoundError("no blob stored under key %r" % key) from None
 
-    def read_range(self, key: str, offset: int, length: int) -> Buffer:
-        if self.use_mmap:
-            view = self._mapped(key)
-            return view[offset : offset + max(0, length)]
+    def read_range(self, key: str, offset: int, length: int) -> bytes:
         try:
             with open(self._path(key), "rb") as handle:
                 handle.seek(offset)
@@ -243,15 +167,12 @@ class FilesystemBackend(BlobBackend):
 
     def read_ranges(
         self, key: str, spans: Sequence[Tuple[int, int]]
-    ) -> List[Buffer]:
-        if self.use_mmap:
-            view = self._mapped(key)
-            return [view[offset : offset + max(0, length)] for offset, length in spans]
+    ) -> List[bytes]:
         # One open handle for the whole batch: batched region reads used to
         # re-open the blob file once per cell.
         try:
             with open(self._path(key), "rb") as handle:
-                out: List[Buffer] = []
+                out: List[bytes] = []
                 for offset, length in spans:
                     handle.seek(offset)
                     out.append(handle.read(length))
@@ -280,11 +201,6 @@ class FilesystemBackend(BlobBackend):
             self._path(key).unlink()
         except FileNotFoundError:
             raise BlobNotFoundError("no blob stored under key %r" % key) from None
-        self._drop_map(key)
-
-    def close(self) -> None:
-        with self._maps_lock:
-            self._maps.clear()
 
 
 class SQLiteBackend(BlobBackend):
@@ -331,7 +247,7 @@ class SQLiteBackend(BlobBackend):
     def get(self, key: str) -> bytes:
         return bytes(self._one("SELECT data FROM blobs WHERE key = ?", key)[0])
 
-    def read_range(self, key: str, offset: int, length: int) -> Buffer:
+    def read_range(self, key: str, offset: int, length: int) -> bytes:
         # substr is 1-indexed; SQLite slices the stored value server-side.
         with self._lock:
             row = self._connection.execute(
@@ -344,11 +260,11 @@ class SQLiteBackend(BlobBackend):
 
     def read_ranges(
         self, key: str, spans: Sequence[Tuple[int, int]]
-    ) -> List[Buffer]:
+    ) -> List[bytes]:
         # One lock acquisition for the whole batch; still per-span substr so
         # SQLite never materialises the whole blob in the connection.
         _check_key(key)
-        out: List[Buffer] = []
+        out: List[bytes] = []
         with self._lock:
             for offset, length in spans:
                 row = self._connection.execute(
@@ -399,16 +315,14 @@ class SQLiteBackend(BlobBackend):
             self._connection.close()
 
 
-def open_backend(path: Union[str, Path], use_mmap: bool = False) -> BlobBackend:
+def open_backend(path: Union[str, Path]) -> BlobBackend:
     """Open the backend a path implies.
 
     ``*.sqlite`` / ``*.sqlite3`` / ``*.db`` paths (or existing regular
     files) open a :class:`SQLiteBackend`; everything else is treated as a
-    :class:`FilesystemBackend` root directory.  ``use_mmap`` switches the
-    filesystem backend to zero-copy ``memoryview`` range reads (SQLite has
-    no mapping to expose and ignores the flag).
+    :class:`FilesystemBackend` root directory.
     """
     path = Path(path)
     if path.suffix.lower() in (".sqlite", ".sqlite3", ".db") or path.is_file():
         return SQLiteBackend(path)
-    return FilesystemBackend(path, use_mmap=use_mmap)
+    return FilesystemBackend(path)

@@ -1,19 +1,11 @@
-"""Size-bounded LRU caches of the store's two cell tiers.
+"""The store's size-bounded LRU of decoded cells.
 
 The unit of caching is the unit of random access: one (plane, stripe)
-cell.  Two tiers exist, same machinery, different payloads:
-
-* :class:`CellCache` holds **decoded** cells as ``(rows, width)`` sample
-  arrays.  Region and plane queries over a stored stream touch small,
-  stable sets of cells, so an LRU over cells turns repeated region
-  traffic into pure array reassembly — no backend reads, no CRC checks,
-  no entropy decoding.
-* :class:`EncodedCellCache` holds **raw encoded** cell bytes — the exact
-  span the backend would range-read.  A hit here still pays the CRC
-  check and the entropy decode but skips backend I/O entirely; because
-  encoded cells are ~8-50x smaller than their decoded arrays, the same
-  byte budget keeps an order of magnitude more cells warm-ish.  Disabled
-  by default (budget 0).
+cell, held as its ``(rows, width)`` decoded sample array.  Region and
+plane queries over a stored stream touch small, stable sets of cells, so
+an LRU over cells turns repeated region traffic into pure array
+reassembly — no backend reads, no CRC checks, no entropy decoding.
+Every decoded cell is admitted.
 
 The bound is in *bytes of decoded samples* (``ndarray.nbytes``), not entry
 count, because cell sizes vary wildly with image geometry and stripe count;
@@ -21,23 +13,11 @@ a byte budget gives the cache a predictable memory footprint.  Hit, miss
 and eviction counters are kept for the ``repro-store stats`` command, the
 serving tier's ``/stats`` endpoint and the store benchmark.
 
-Two behaviours matter to the network serving tier built on top:
-
-* **Thread safety** — every operation takes an internal lock, so the
-  thread-pool workers of ``repro-serve`` (and any other concurrent
-  caller) can share one cache without torn byte accounting or corrupted
-  LRU order.  The critical sections are dict moves and counter updates;
-  the decode that produces an array always happens outside the lock.
-* **Hot-cell admission** — with ``admission="second-touch"`` an array is
-  only admitted once its key has been *offered* before: the first
-  :meth:`~CellCache.put` records the key in a bounded ghost list (keys
-  only, no payload) and is rejected; a repeat offer caches the bytes.
-  Lookups do **not** count as touches — the store's universal
-  get-miss → decode → put sequence must not self-admit — so a cell pays
-  two decodes before it earns cache residency, and one-touch scan
-  traffic (a client sweeping every region of a cold corpus once) cannot
-  evict the hot working set a serving process has built up.  The default
-  ``"always"`` keeps the original behaviour.
+Every operation takes an internal lock, so the thread-pool workers of
+``repro-serve`` (and any other concurrent caller) can share one cache
+without torn byte accounting or corrupted LRU order.  The critical
+sections are dict moves and counter updates; the decode that produces an
+array always happens outside the lock.
 """
 
 from __future__ import annotations
@@ -45,31 +25,16 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import ConfigError
 
-__all__ = [
-    "CellCache",
-    "EncodedCellCache",
-    "CacheStats",
-    "DEFAULT_CACHE_BYTES",
-    "DEFAULT_ENCODED_CACHE_BYTES",
-    "ADMISSION_POLICIES",
-    "DEFAULT_GHOST_ENTRIES",
-]
+__all__ = ["CellCache", "CacheStats", "DEFAULT_CACHE_BYTES"]
 
 #: Default decoded-cell budget: 32 MiB ≈ 4 megasamples of int64 cells.
 DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
-
-#: Default encoded-bytes budget: 0 — the second tier is opt-in.
-DEFAULT_ENCODED_CACHE_BYTES = 0
-
-#: Admission policies a cache can run with.
-ADMISSION_POLICIES = ("always", "second-touch")
-
-#: Bound on the second-touch ghost list (keys only — a few KiB of strings).
-DEFAULT_GHOST_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -82,8 +47,6 @@ class CacheStats:
     entries: int
     current_bytes: int
     max_bytes: int
-    admission: str = "always"
-    rejected: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -100,8 +63,6 @@ class CacheStats:
             "current_bytes": self.current_bytes,
             "max_bytes": self.max_bytes,
             "hit_rate": self.hit_rate,
-            "admission": self.admission,
-            "rejected": self.rejected,
         }
 
 
@@ -114,11 +75,6 @@ class CellCache:
         Total ``nbytes`` budget across cached arrays.  ``0`` disables
         caching entirely (every :meth:`get` misses, :meth:`put` is a no-op),
         which is how the store measures cold latencies.
-    admission:
-        ``"always"`` admits every decoded array; ``"second-touch"`` admits
-        a key only on its second :meth:`put` offer — lookups are *not*
-        touches (see :meth:`get`) — keeping one-touch scans from flushing
-        the hot set.
 
     Keys are arbitrary hashables; the store uses ``(blob_key, plane,
     stripe)``.  Stored arrays are marked read-only so a cached cell cannot
@@ -126,26 +82,16 @@ class CellCache:
     thread-safe.
     """
 
-    def __init__(
-        self, max_bytes: int = DEFAULT_CACHE_BYTES, admission: str = "always"
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if max_bytes < 0:
             raise ConfigError("cache byte budget must be >= 0, got %d" % max_bytes)
-        if admission not in ADMISSION_POLICIES:
-            raise ConfigError(
-                "admission must be one of %s, got %r"
-                % (", ".join(ADMISSION_POLICIES), admission)
-            )
         self.max_bytes = max_bytes
-        self.admission = admission
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._ghosts: "OrderedDict[Hashable, None]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
         self._current_bytes = 0
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._rejected = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -160,13 +106,8 @@ class CellCache:
         with self._lock:
             return tuple(self._entries)
 
-    def get(self, key: Hashable) -> Optional[Any]:
-        """Return the cached array for ``key`` (refreshing it), or ``None``.
-
-        A miss is *not* an admission touch: every store read performs
-        get-miss → decode → put, so counting the miss would admit every
-        key on its first request and disable the second-touch policy.
-        """
+    def get(self, key: Hashable) -> Optional[np.ndarray]:
+        """Return the cached array for ``key`` (refreshing it), or ``None``."""
         with self._lock:
             array = self._entries.get(key)
             if array is None:
@@ -176,7 +117,7 @@ class CellCache:
             self._hits += 1
             return array
 
-    def get_all(self, keys: Sequence[Hashable]) -> Optional[List[Any]]:
+    def get_all(self, keys: Sequence[Hashable]) -> Optional[List[np.ndarray]]:
         """Every cached value of ``keys`` in order, or ``None`` if any is missing.
 
         One lock acquisition covers the whole lookup, so the values form
@@ -187,7 +128,7 @@ class CellCache:
         """
         with self._lock:
             entries = self._entries
-            values: List[Any] = []
+            values: List[np.ndarray] = []
             for key in keys:
                 value = entries.get(key)
                 if value is None:
@@ -198,81 +139,43 @@ class CellCache:
             self._hits += len(values)
             return values
 
-    def put(self, key: Hashable, array: Any) -> None:
+    def put(self, key: Hashable, array: np.ndarray) -> None:
         """Insert ``array`` under ``key``, evicting LRU entries to fit.
 
         An array larger than the whole budget is not cached at all —
         evicting everything to hold one oversized entry would turn the
-        cache into a single-slot buffer.  Under ``second-touch`` admission
-        a first-seen key is recorded but its bytes are rejected.
+        cache into a single-slot buffer.
         """
-        if self._nbytes(array) > self.max_bytes:
+        if array.nbytes > self.max_bytes:
             return
-        # Decide admission before paying for the copy: a rejected
-        # first-touch offer must not copy a whole decoded cell.
-        with self._lock:
-            if (
-                self.admission == "second-touch"
-                and key not in self._entries
-                and key not in self._ghosts
-            ):
-                self._touch_ghost(key)
-                self._rejected += 1
-                return
         # Freeze a private copy outside the lock: the cache must neither
         # share mutable state with callers nor make a caller's own array
         # read-only under them — and the copy is the expensive part, so it
-        # must not serialise other cache users.  (If a concurrent
-        # invalidate/clear races between the two critical sections the
-        # entry is simply admitted once more; accounting stays exact.)
-        frozen = self._freeze(array)
-        size = self._nbytes(frozen)
+        # must not serialise other cache users.
+        frozen = array.copy()
+        frozen.setflags(write=False)
         with self._lock:
             prior = self._entries.pop(key, None)
             if prior is not None:
-                self._current_bytes -= self._nbytes(prior)
-            self._ghosts.pop(key, None)
+                self._current_bytes -= prior.nbytes
             self._entries[key] = frozen
-            self._current_bytes += size
+            self._current_bytes += frozen.nbytes
             while self._current_bytes > self.max_bytes:
                 _, evicted = self._entries.popitem(last=False)
-                self._current_bytes -= self._nbytes(evicted)
+                self._current_bytes -= evicted.nbytes
                 self._evictions += 1
-
-    @staticmethod
-    def _nbytes(value: Any) -> int:
-        """Byte charge of one value against the budget."""
-        return int(value.nbytes)
-
-    @staticmethod
-    def _freeze(value: Any) -> Any:
-        """Immutable private copy of the value to be stored."""
-        frozen = value.copy()
-        frozen.setflags(write=False)
-        return frozen
-
-    def _touch_ghost(self, key: Hashable) -> None:
-        """Record ``key`` in the bounded seen-once list (lock held)."""
-        if self.admission != "second-touch":
-            return
-        self._ghosts[key] = None
-        self._ghosts.move_to_end(key)
-        while len(self._ghosts) > DEFAULT_GHOST_ENTRIES:
-            self._ghosts.popitem(last=False)
 
     def invalidate(self, key: Hashable) -> None:
         """Drop one entry if present (used when a blob is deleted)."""
         with self._lock:
             array = self._entries.pop(key, None)
             if array is not None:
-                self._current_bytes -= self._nbytes(array)
-            self._ghosts.pop(key, None)
+                self._current_bytes -= array.nbytes
 
     def clear(self) -> None:
         """Drop every entry; counters are kept (they describe the session)."""
         with self._lock:
             self._entries.clear()
-            self._ghosts.clear()
             self._current_bytes = 0
 
     @property
@@ -285,38 +188,4 @@ class CellCache:
                 entries=len(self._entries),
                 current_bytes=self._current_bytes,
                 max_bytes=self.max_bytes,
-                admission=self.admission,
-                rejected=self._rejected,
             )
-
-
-class EncodedCellCache(CellCache):
-    """The encoded-bytes tier: same LRU/admission machinery, ``bytes`` values.
-
-    Sits *under* the decoded :class:`CellCache` in the store's lookup
-    order — consulted on a decoded miss, filled on a backend read.  A hit
-    here skips backend I/O (the expensive part on remote or mmap-cold
-    storage) but still pays CRC + entropy decode, which is why the two
-    tiers have separate budgets: encoded cells are small enough that a
-    modest budget keeps a long tail warm-ish.
-
-    Values are stored as immutable ``bytes``; in particular a
-    ``memoryview`` over an mmap'ed blob is **copied out** on admission, so
-    the cache never pins a file mapping (and survives the blob being
-    swapped or deleted underneath).
-    """
-
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
-        admission: str = "always",
-    ) -> None:
-        super().__init__(max_bytes, admission=admission)
-
-    @staticmethod
-    def _nbytes(value: Any) -> int:
-        return len(value)
-
-    @staticmethod
-    def _freeze(value: Any) -> bytes:
-        return bytes(value)

@@ -119,21 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decoded-cell LRU budget in bytes (default 32 MiB; 0 disables)",
     )
     parser.add_argument(
-        "--encoded-cache-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="encoded-bytes LRU budget below the decoded cache: raw cell "
-        "bytes whose hits skip backend I/O but still decode (default 0: "
-        "disabled)",
-    )
-    parser.add_argument(
-        "--mmap",
-        action="store_true",
-        help="read filesystem blobs through zero-copy mmap views "
-        "(ignored for SQLite stores)",
-    )
-    parser.add_argument(
         "--engine",
         choices=ENGINES,
         default="reference",
@@ -348,14 +333,10 @@ def store_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.cache_bytes is not None and args.cache_bytes < 0:
         parser.error("--cache-bytes must be >= 0")
-    if args.encoded_cache_bytes is not None and args.encoded_cache_bytes < 0:
-        parser.error("--encoded-cache-bytes must be >= 0")
 
-    store_kwargs: Dict[str, Any] = {"engine": args.engine, "use_mmap": args.mmap}
+    store_kwargs: Dict[str, Any] = {"engine": args.engine}
     if args.cache_bytes is not None:
         store_kwargs["cache_bytes"] = args.cache_bytes
-    if args.encoded_cache_bytes is not None:
-        store_kwargs["encoded_cache_bytes"] = args.encoded_cache_bytes
 
     exit_code = 0
     try:

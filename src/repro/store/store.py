@@ -102,13 +102,7 @@ from repro.exceptions import BlobNotFoundError, NotCachedError, StoreError
 from repro.imaging.image import GrayImage
 from repro.imaging.planar import PlanarImage
 from repro.store.backends import BlobBackend, open_backend
-from repro.store.cache import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_ENCODED_CACHE_BYTES,
-    CacheStats,
-    CellCache,
-    EncodedCellCache,
-)
+from repro.store.cache import DEFAULT_CACHE_BYTES, CacheStats, CellCache
 from repro.store.catalog import (
     DEFAULT_TTL_SECONDS,
     Catalog,
@@ -143,18 +137,6 @@ class ImageStore:
         Blob storage (see :mod:`repro.store.backends`).
     cache_bytes:
         Byte budget of the decoded-cell LRU cache; ``0`` disables caching.
-    encoded_cache_bytes:
-        Byte budget of the **encoded-bytes** tier below the decoded cache
-        (default ``0`` — disabled).  A hit there skips the backend range
-        read but still CRC-checks and entropy-decodes, trading CPU for
-        I/O at ~an order of magnitude less memory per cell than the
-        decoded tier.
-    cache_admission:
-        Cell-cache admission policy: ``"always"`` (default) caches every
-        decoded cell, ``"second-touch"`` only cells requested more than
-        once — the serving tier's guard against one-touch scans evicting
-        the hot working set.  Both tiers run the same policy unless
-        ``encoded_cache_admission`` overrides it for the encoded tier.
     config:
         Optional codec configuration forced on every decode; by default
         each stream's configuration is reconstructed from its own header,
@@ -207,24 +189,13 @@ class ImageStore:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         config: Optional[CodecConfig] = None,
         engine: str = "reference",
-        cache_admission: str = "always",
         cell_hook: Optional[Callable[[], None]] = None,
         catalog: Optional[Catalog] = None,
-        encoded_cache_bytes: int = DEFAULT_ENCODED_CACHE_BYTES,
-        encoded_cache_admission: Optional[str] = None,
     ) -> None:
         from repro.core.interface import require_engine
 
         self.backend = backend
-        self.cache = CellCache(cache_bytes, admission=cache_admission)
-        self.encoded_cache = EncodedCellCache(
-            encoded_cache_bytes,
-            admission=(
-                cache_admission
-                if encoded_cache_admission is None
-                else encoded_cache_admission
-            ),
-        )
+        self.cache = CellCache(cache_bytes)
         self.config = config
         self.engine = require_engine(engine)
         self.cell_hook = cell_hook
@@ -256,15 +227,9 @@ class ImageStore:
         return self.backend
 
     @classmethod
-    def open(
-        cls, path: Union[str, Path], use_mmap: bool = False, **kwargs
-    ) -> "ImageStore":
-        """Open a store at ``path`` (SQLite file or filesystem directory).
-
-        ``use_mmap=True`` switches a filesystem backend to zero-copy
-        ``memoryview`` range reads (ignored for SQLite paths).
-        """
-        return cls(open_backend(path, use_mmap=use_mmap), **kwargs)
+    def open(cls, path: Union[str, Path], **kwargs) -> "ImageStore":
+        """Open a store at ``path`` (SQLite file or filesystem directory)."""
+        return cls(open_backend(path), **kwargs)
 
     def close(self) -> None:
         self.catalog.close()
@@ -384,7 +349,7 @@ class ImageStore:
         self._drop_cached(key)
 
     def _drop_cached(self, key: str) -> None:
-        """Forget the memoized header and cached cells (both tiers) of one key.
+        """Forget the memoized header and cached cells of one key.
 
         The prefix-length hint survives on purpose: it is a probe-sizing
         hint, not data, and a stale one self-heals on the next parse.
@@ -393,9 +358,6 @@ class ImageStore:
         for cell_key in list(self.cache.keys()):
             if cell_key[0] == key:
                 self.cache.invalidate(cell_key)
-        for cell_key in list(self.encoded_cache.keys()):
-            if cell_key[0] == key:
-                self.encoded_cache.invalidate(cell_key)
 
     # ------------------------------------------------------------------ #
     # lifecycle: soft delete, pins, GC/compaction primitives
@@ -694,17 +656,12 @@ class ImageStore:
     def _resolve_cells(
         self, key: str, header: StreamHeader, config: CodecConfig, cells
     ) -> Dict[Tuple[int, int], np.ndarray]:
-        """Serve (plane, spec) cells through both cache tiers.
+        """Serve (plane, spec) cells from the decoded cache, else the backend.
 
-        Lookup order per cell: decoded cache (free), encoded-bytes cache
-        (CRC + entropy decode, no I/O), backend.  Cells missing both
-        tiers are fetched in **one** batched ``read_ranges`` call — one
-        file open / mmap lookup / lock acquisition for the whole request
-        instead of one per cell — and the raw bytes reach the decoder as
-        whatever buffer the backend returned (a zero-copy ``memoryview``
-        in mmap mode).  Decoded arrays fill the decoded tier; the raw
-        bytes are offered to the encoded tier (copied out of any mmap, so
-        cached payloads never pin a mapping).
+        Cells the cache misses are fetched in **one** batched
+        ``read_ranges`` call — one file open or lock acquisition for the
+        whole request instead of one per cell — then CRC-checked,
+        entropy-decoded and put in the cache.
 
         ``cell_hook`` (the serving tier's deadline checkpoint) still runs
         exactly once per cell, before that cell's work.
@@ -721,22 +678,6 @@ class ImageStore:
                     hook()
                 resolved[(plane, spec.index)] = array
                 continue
-            payload = self.encoded_cache.get(cell_key)
-            if payload is not None:
-                if hook is not None:
-                    hook()
-                array = decode_one_cell(
-                    payload,
-                    header,
-                    plane,
-                    spec,
-                    config,
-                    engine=self.engine,
-                    from_container=False,
-                )
-                self.cache.put(cell_key, array)
-                resolved[(plane, spec.index)] = array
-                continue
             missing.append((plane, spec, cell_key))
         if missing:
             payloads = self.backend.read_ranges(
@@ -745,7 +686,6 @@ class ImageStore:
             for (plane, spec, cell_key), payload in zip(missing, payloads):
                 if hook is not None:
                     hook()
-                self.encoded_cache.put(cell_key, payload)
                 array = decode_one_cell(
                     payload,
                     header,
@@ -767,16 +707,11 @@ class ImageStore:
     def cache_stats(self) -> CacheStats:
         return self.cache.stats
 
-    @property
-    def encoded_cache_stats(self) -> CacheStats:
-        return self.encoded_cache.stats
-
     def stats(self) -> dict:
         """Backend + cache + catalog counters (``repro-store stats`` payload)."""
         return {
             "backend": dict(self.backend.stats(), kind=type(self.backend).__name__),
             "cache": self.cache.stats.as_json(),
-            "encoded_cache": self.encoded_cache.stats.as_json(),
             "catalog": dict(
                 self.catalog.stats(), kind=type(self.catalog).__name__
             ),

@@ -4,11 +4,14 @@ Covers the two remaining production-hardening contracts over real
 sockets: a draining server finishes admitted work (and answers new work
 with ``503``) before its handle returns, and a request whose deadline
 lapses on a stalled shard yields a fast ``504`` without poisoning the
-cell cache or the single-flight map for the requests that follow.
+cell cache or the single-flight map for the requests that follow.  A
+PUT whose deadline lapses stops encoding at the next cell and stores
+nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import signal
@@ -20,12 +23,16 @@ import time
 
 import pytest
 
-from repro.exceptions import ServeError
-from repro.imaging.pnm import write_ppm
-from repro.imaging.synthetic import generate_planar_image
+import repro.core.cellgrid as cellgrid
+from repro.core.cellgrid import encode_grid
+from repro.core.config import CodecConfig
+from repro.exceptions import DeadlineExceededError, ServeError
+from repro.imaging.pnm import write_pgm, write_ppm
+from repro.imaging.synthetic import generate_image, generate_planar_image
 from repro.serve.app import ImageService, start_server_thread
 from repro.serve.chaos import FaultInjector
 from repro.serve.client import ServeClient
+from repro.serve.deadline import Deadline, RequestContext, bind_context
 from repro.store.store import ImageStore
 
 
@@ -250,6 +257,53 @@ class TestDeadlines:
                 injectors[shard].clear_stall()
         finally:
             handle.stop()
+
+    def test_lapsed_put_stops_encoding_and_stores_nothing(self, tmp_path, monkeypatch):
+        image = generate_image("lena", size=256)
+        body = io.BytesIO()
+        write_pgm(image, body)
+        stream, _ = encode_grid(
+            image, CodecConfig.hardware(bit_depth=8), engine="fast", stripes=16
+        )
+        key = hashlib.sha256(stream).hexdigest()
+        encode_payload = cellgrid.encode_payload
+        encoded_widths = []
+
+        def counting(cell, config, engine="reference"):
+            encoded_widths.append(cell.width)
+            return encode_payload(cell, config, engine=engine)
+
+        monkeypatch.setattr(cellgrid, "encode_payload", counting)
+        service, handle = _boot(tmp_path, max_workers=1)
+        try:
+            with ServeClient(*handle.address, deadline_ms=300) as client:
+                with pytest.raises(ServeError) as info:
+                    client.put_image(body.getvalue(), stripes=16)
+            assert info.value.status == 504
+            # Queued behind the abandoned encode on the one pool thread.
+            small = generate_planar_image("lena", size=16, seed=3, planes=3)
+            with ServeClient(*handle.address) as client:
+                client.put_image(_ppm_bytes(small), stripes=2)
+            for store in service.router.stores:
+                assert not store.contains(key)
+                assert store.catalog.get(key) is None
+            assert encoded_widths.count(image.width) < 16
+        finally:
+            handle.stop()
+
+    def test_put_checks_its_deadline_before_the_first_write(self, tmp_path):
+        store = ImageStore.open(tmp_path / "shard-00")
+        service = ImageService([store])
+        image = generate_planar_image("lena", size=16, seed=5, planes=3)
+        stream, _ = encode_grid(image, CodecConfig.hardware(bit_depth=8), stripes=2)
+        bind_context(RequestContext(Deadline(0.0)))
+        try:
+            with pytest.raises(DeadlineExceededError):
+                service.put_image(stream)
+        finally:
+            bind_context(None)
+            service.close()
+        assert list(store.keys()) == []
 
     def test_bad_deadline_header_is_a_400(self, tmp_path):
         service, handle = _boot(tmp_path)

@@ -26,6 +26,7 @@ from repro.serve.client import ServeClient
 from repro.serve.deadline import Deadline, RequestContext, bind_context
 from repro.serve.proxy import ProxyService, RemoteShard, start_proxy_thread
 from repro.serve.worker import WorkerGroup, WorkerProcess, WorkerSpec, WorkerSupervisor
+from repro.store.backends import FilesystemBackend
 
 SHARDS = 2
 WORKERS = 2
@@ -119,6 +120,40 @@ class TestSupervision:
         assert report["status"] == "ok"
         assert report["shards"] == SHARDS
         assert "shards_down" not in report
+
+
+class TestFleetStats:
+    def test_shared_store_is_counted_once_and_hit_rate_is_recomputed(
+        self, client, fleet
+    ):
+        _, supervisor = fleet
+        images = [
+            generate_planar_image("zelda", size=16, seed=seed, planes=3)
+            for seed in range(60, 63)
+        ]
+        keys = [client.put_image(_ppm_bytes(i), stripes=2)["key"] for i in images]
+        # Every worker reads every key twice: a miss, then a hit.
+        for group in supervisor.groups:
+            for worker in group.workers:
+                with ServeClient(worker.host, worker.port) as direct:
+                    for key in keys:
+                        direct.get_image(key)
+                        direct.get_image(key)
+        shards = client.stats()["shards"]
+        stored = [
+            FilesystemBackend(group.spec.store_path).stats()
+            for group in supervisor.groups
+        ]
+        assert sum(s["backend"]["blobs"] for s in shards) == sum(
+            b["blobs"] for b in stored
+        )
+        assert sum(s["backend"]["bytes"] for s in shards) == sum(
+            b["bytes"] for b in stored
+        )
+        for shard in shards:
+            cache = shard["cache"]
+            assert cache["hits"] > 0 and cache["misses"] > 0
+            assert cache["hit_rate"] == cache["hits"] / (cache["hits"] + cache["misses"])
 
 
 class TestLifecycle:

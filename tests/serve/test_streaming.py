@@ -28,9 +28,7 @@ from repro.store.store import ImageStore
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-streaming")
-    store = ImageStore.open(
-        root / "shard-00", use_mmap=True, encoded_cache_bytes=1 << 20
-    )
+    store = ImageStore.open(root / "shard-00")
     service = ImageService([store], default_stripes=6)
     handle = start_server_thread(service)
     yield handle

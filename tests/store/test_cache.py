@@ -95,64 +95,3 @@ class TestCounters:
         assert payload["entries"] == 1
         assert payload["current_bytes"] == 64
         assert payload["max_bytes"] == 1024
-
-
-class TestAdmissionPolicy:
-    def test_always_is_the_default(self):
-        cache = CellCache(max_bytes=1024)
-        assert cache.admission == "always"
-        cache.put("a", _cell(1))
-        assert "a" in cache
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ConfigError):
-            CellCache(max_bytes=1024, admission="sometimes")
-
-    def test_second_touch_rejects_first_offer_and_admits_the_second(self):
-        cache = CellCache(max_bytes=1024, admission="second-touch")
-        cache.put("a", _cell(1))
-        assert "a" not in cache
-        assert cache.stats.rejected == 1
-        cache.put("a", _cell(1))
-        assert "a" in cache
-        assert cache.get("a") is not None
-
-    def test_a_miss_is_not_an_admission_touch(self):
-        """The store's real shape is get-miss -> decode -> put on EVERY
-        read, so the miss must not count as a touch — otherwise the first
-        request would always self-admit and the policy would be a no-op."""
-        cache = CellCache(max_bytes=1024, admission="second-touch")
-        assert cache.get("a") is None
-        cache.put("a", _cell(1))
-        assert "a" not in cache
-        assert cache.stats.rejected == 1
-        # Second request cycle: miss again, decode again, offer again.
-        assert cache.get("a") is None
-        cache.put("a", _cell(1))
-        assert "a" in cache
-
-    def test_one_touch_scan_cannot_evict_the_hot_set(self):
-        cache = CellCache(max_bytes=2 * 64, admission="second-touch")
-        for key in ("hot-1", "hot-2"):
-            cache.put(key, _cell(1))
-            cache.put(key, _cell(1))
-        assert len(cache) == 2
-        for scan_key in range(50):  # a cold sweep, every key seen once
-            cache.put(("scan", scan_key), _cell(2))
-        assert all(key in cache for key in ("hot-1", "hot-2"))
-        assert cache.stats.evictions == 0
-        # 2 first-touch rejections for the hot keys, 50 for the scan.
-        assert cache.stats.rejected == 52
-
-    def test_invalidate_forgets_the_ghost_too(self):
-        cache = CellCache(max_bytes=1024, admission="second-touch")
-        cache.put("a", _cell(1))  # ghost recorded
-        cache.invalidate("a")
-        cache.put("a", _cell(1))  # first touch again
-        assert "a" not in cache
-
-    def test_stats_carry_the_policy(self):
-        cache = CellCache(max_bytes=1024, admission="second-touch")
-        payload = cache.stats.as_json()
-        assert payload["admission"] == "second-touch"
-        assert payload["rejected"] == 0

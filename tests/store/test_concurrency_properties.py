@@ -13,8 +13,7 @@ parallelism exactly as it does serially:
   happens exactly once.
 
 Hypothesis drives the sequential state-space (operation interleavings the
-LRU + admission machinery must survive); raw thread herds drive the
-actual races.
+LRU machinery must survive); raw thread herds drive the actual races.
 """
 
 from __future__ import annotations
@@ -49,11 +48,10 @@ class TestCacheAccountingProperties:
             max_size=60,
         ),
         max_bytes=st.sampled_from([0, 256, 1024, 1 << 20]),
-        admission=st.sampled_from(["always", "second-touch"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_current_bytes_always_matches_held_entries(self, ops, max_bytes, admission):
-        cache = CellCache(max_bytes=max_bytes, admission=admission)
+    def test_current_bytes_always_matches_held_entries(self, ops, max_bytes):
+        cache = CellCache(max_bytes=max_bytes)
         for op, key, samples in ops:
             if op == "put":
                 cache.put(key, _cell(key, samples))
@@ -71,24 +69,6 @@ class TestCacheAccountingProperties:
             assert stats.current_bytes == held
             assert stats.current_bytes <= max_bytes
             assert stats.entries == len(cache.keys())
-
-    @given(
-        keys=st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=30)
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_second_touch_admits_exactly_the_reoffered_keys(self, keys):
-        """Exact model: a key is cached iff it was offered before (or held)."""
-        cache = CellCache(max_bytes=1 << 20, admission="second-touch")
-        offered = set()
-        for key in keys:
-            held_before = key in cache
-            cache.put(key, _cell(key))
-            if key in offered or held_before:
-                assert key in cache, "reoffered key %r was not admitted" % key
-            else:
-                assert key not in cache, "first-touch key %r was admitted" % key
-                assert cache.stats.rejected > 0
-            offered.add(key)
 
 
 class TestCacheUnderThreads:

@@ -193,51 +193,6 @@ class TestLifecycle:
                 )
 
 
-class TestCacheAdmissionOnTheServingPath:
-    """Regression: second-touch must engage on the REAL read path.
-
-    Every store read performs cache.get (miss) -> decode -> cache.put; if
-    the miss counted as a touch, the first request of any cell would
-    self-admit and one-touch scans would evict the hot set the policy
-    exists to protect.
-    """
-
-    def test_first_request_is_rejected_second_is_admitted(self, tmp_path, rgb_image):
-        store = ImageStore.open(
-            tmp_path / "admission", cache_admission="second-touch"
-        )
-        key = store.put(rgb_image, stripes=4)
-        expected = store.get_region(key, (0, 1))  # request 1: decode, reject
-        assert len(store.cache) == 0
-        assert store.cache_stats.rejected > 0
-        assert store.get_region(key, (0, 1)) == expected  # request 2: admit
-        assert len(store.cache) > 0
-        hits_before = store.cache_stats.hits
-        assert store.get_region(key, (0, 1)) == expected  # request 3: hit
-        assert store.cache_stats.hits > hits_before
-        store.close()
-
-    def test_one_touch_region_sweep_cannot_evict_the_hot_set(self, tmp_path, rgb_image):
-        # A budget that fits exactly the hot region's cells: 3 planes of
-        # one stripe, each (24/4 rows) x 24 width x 8-byte samples.
-        cell_bytes = 6 * 24 * 8
-        store = ImageStore.open(
-            tmp_path / "scan",
-            cache_bytes=3 * cell_bytes,
-            cache_admission="second-touch",
-        )
-        key = store.put(rgb_image, stripes=4)
-        for _ in range(2):  # two touches: the hot region earns residency
-            store.get_region(key, (1, 2))
-        hot_keys = set(store.cache.keys())
-        assert len(hot_keys) == 3
-        for stripe in (0, 2, 3):  # a one-touch sweep over the cold regions
-            store.get_region(key, (stripe, stripe + 1))
-        assert set(store.cache.keys()) == hot_keys
-        assert store.cache_stats.evictions == 0
-        store.close()
-
-
 def _outcome(call):
     """A read's image, or the type of the library error it raised."""
     try:

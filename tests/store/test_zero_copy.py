@@ -1,15 +1,9 @@
-"""The zero-copy read path: mmap backends, batched range reads, the
-encoded-bytes tier's store wiring and the header-prefix memo.
+"""The read path's batched range reads and the header-prefix memo.
 
 These tests pin the perf-critical contracts the serve tier relies on:
 
-* mmap mode hands out ``memoryview`` slices over one shared mapping, and
-  an outstanding view keeps reading the *old* bytes across an overwrite
-  (``os.replace`` leaves the old inode mapped — pin-during-read);
 * ``read_ranges`` answers a whole batch from one backend access per key
-  (one open handle or one mapping), not one open per cell;
-* the encoded tier sits under the decoded cache: a hit skips backend I/O
-  entirely while still decoding, and both tiers invalidate on delete;
+  (one open handle or one lock acquisition), not one open per cell;
 * the stream-prefix parse pays its double ``read_range`` at most once per
   key lifetime — the resolved prefix length is memoized.
 """
@@ -20,7 +14,7 @@ import pytest
 
 from repro.core.cellgrid import encode_grid
 from repro.core.config import CodecConfig
-from repro.exceptions import BlobNotFoundError, StoreError
+from repro.exceptions import BlobNotFoundError
 from repro.imaging.synthetic import generate_noise_image
 from repro.store.backends import FilesystemBackend, SQLiteBackend
 from repro.store.store import ImageStore
@@ -29,20 +23,15 @@ BLOB = bytes(range(256)) * 8
 
 
 class _CountingBackend:
-    """Wraps a backend, counting read_range/read_ranges calls."""
+    """Wraps a backend, counting read_range calls."""
 
     def __init__(self, inner):
         self.inner = inner
         self.read_range_calls = []
-        self.read_ranges_calls = []
 
     def read_range(self, key, offset, length):
         self.read_range_calls.append((key, offset, length))
         return self.inner.read_range(key, offset, length)
-
-    def read_ranges(self, key, spans):
-        self.read_ranges_calls.append((key, tuple(spans)))
-        return self.inner.read_ranges(key, spans)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -54,56 +43,13 @@ def _stream(seed=3, size=24, stripes=4):
     return image, data
 
 
-class TestMmapBackend:
-    def test_read_range_returns_memoryview_over_one_mapping(self, tmp_path):
-        backend = FilesystemBackend(tmp_path, use_mmap=True)
-        backend.put("k", BLOB)
-        view = backend.read_range("k", 100, 50)
-        assert isinstance(view, memoryview)
-        assert bytes(view) == BLOB[100:150]
-        other = backend.read_range("k", 0, 16)
-        assert bytes(other) == BLOB[:16]
-        backend.close()
-
-    def test_outstanding_view_survives_overwrite(self, tmp_path):
-        backend = FilesystemBackend(tmp_path, use_mmap=True)
-        backend.put("k", BLOB)
-        view = backend.read_range("k", 0, 8)
-        backend.put("k", b"\x00" * len(BLOB))
-        # The old inode stays mapped while the view pins it; fresh reads
-        # see the new bytes.
-        assert bytes(view) == BLOB[:8]
-        assert bytes(backend.read_range("k", 0, 8)) == b"\x00" * 8
-        backend.close()
-
-    def test_empty_blob_and_missing_key(self, tmp_path):
-        backend = FilesystemBackend(tmp_path, use_mmap=True)
-        backend.put("empty", b"")
-        assert bytes(backend.read_range("empty", 0, 4)) == b""
-        with pytest.raises(BlobNotFoundError):
-            backend.read_range("missing", 0, 4)
-        backend.close()
-
-    def test_mapping_cache_is_bounded(self, tmp_path):
-        backend = FilesystemBackend(tmp_path, use_mmap=True, mmap_blobs=2)
-        for i in range(5):
-            backend.put("k%d" % i, BLOB)
-            assert bytes(backend.read_range("k%d" % i, 0, 4)) == BLOB[:4]
-        assert len(backend._maps) <= 2
-        backend.close()
-
-    def test_invalid_map_budget_rejected(self, tmp_path):
-        with pytest.raises(StoreError):
-            FilesystemBackend(tmp_path, use_mmap=True, mmap_blobs=0)
-
-
 class TestBatchedRanges:
-    @pytest.mark.parametrize("mode", ["filesystem", "filesystem-mmap", "sqlite"])
+    @pytest.mark.parametrize("mode", ["filesystem", "sqlite"])
     def test_read_ranges_matches_read_range(self, tmp_path, mode):
         if mode == "sqlite":
             backend = SQLiteBackend(tmp_path / "blobs.sqlite")
         else:
-            backend = FilesystemBackend(tmp_path, use_mmap=mode.endswith("mmap"))
+            backend = FilesystemBackend(tmp_path)
         backend.put("k", BLOB)
         spans = [(0, 16), (100, 50), (len(BLOB) - 4, 100), (7, 0)]
         batched = backend.read_ranges("k", spans)
@@ -116,61 +62,6 @@ class TestBatchedRanges:
         with pytest.raises(BlobNotFoundError):
             backend.read_ranges("missing", [(0, 4)])
         backend.close()
-
-
-class TestEncodedTierWiring:
-    def test_encoded_hit_skips_backend_io(self, tmp_path):
-        image, data = _stream()
-        store = ImageStore.open(
-            tmp_path / "store", cache_bytes=0, encoded_cache_bytes=1 << 20
-        )
-        counting = _CountingBackend(store.backend)
-        store.backend = counting
-        key = store.put_stream(data)
-
-        store.get_region(key, (0, 4))
-        cold_batches = len(counting.read_ranges_calls)
-        assert cold_batches > 0
-        store.get_region(key, (0, 4))
-        # Decoded cache is disabled; the encoded tier alone answers the
-        # repeat without any further backend range reads.
-        assert len(counting.read_ranges_calls) == cold_batches
-        stats = store.encoded_cache.stats
-        assert stats.hits > 0
-        assert store.stats()["encoded_cache"]["hits"] == stats.hits
-
-    def test_lookup_order_decoded_first(self, tmp_path):
-        image, data = _stream(seed=9)
-        store = ImageStore.open(
-            tmp_path / "store", encoded_cache_bytes=1 << 20
-        )
-        key = store.put_stream(data)
-        store.get_region(key, (0, 4))
-        encoded_hits = store.encoded_cache.stats.hits
-        store.get_region(key, (0, 4))
-        # The decoded tier answered; the encoded tier was never consulted.
-        assert store.encoded_cache.stats.hits == encoded_hits
-        assert store.cache.stats.hits > 0
-
-    def test_delete_invalidates_both_tiers(self, tmp_path):
-        image, data = _stream(seed=5)
-        store = ImageStore.open(
-            tmp_path / "store", encoded_cache_bytes=1 << 20
-        )
-        key = store.put_stream(data)
-        store.get_region(key, (0, 4))
-        assert len(store.encoded_cache) > 0
-        store.delete(key)
-        assert all(k[0] != key for k in store.encoded_cache.keys())
-        assert all(k[0] != key for k in store.cache.keys())
-
-    def test_disabled_by_default(self, tmp_path):
-        image, data = _stream(seed=7)
-        store = ImageStore.open(tmp_path / "store")
-        key = store.put_stream(data)
-        store.get_region(key, (0, 4))
-        assert len(store.encoded_cache) == 0
-        assert store.stats()["encoded_cache"]["max_bytes"] == 0
 
 
 class TestPrefixMemo:
