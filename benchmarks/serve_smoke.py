@@ -10,10 +10,12 @@ every endpoint through :class:`repro.serve.client.ServeClient`:
 * batched ``POST .../regions``;
 * a thread herd on one cold region with a coalescing assertion
   (``/stats`` must report coalesced requests and at most 2 backend
-  decodes for the herd);
+  decodes for the herd; under ``--topology proc`` every worker's
+  ``in_flight`` must be back at 0 after it);
 * ``/healthz`` and ``/stats`` (including the cache byte-occupancy fields,
-  a ``hit_rate`` in [0, 1] per shard, and stored blobs counted once per
-  shard under ``--topology proc``).
+  a ``hit_rate`` in [0, 1] per shard, and stored blobs and live catalog
+  entries counted once per shard under ``--topology proc``, where every
+  worker's own ``/stats`` must report its shard's live entries too).
 
 Any non-2xx answer raises, any assertion failure exits non-zero, and the
 server process is always torn down.  Usage::
@@ -213,6 +215,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             assert decodes <= 2, "stampede reached the backend %d times" % decodes
 
             stats = client.stats()
+            for shard_name, rows in stats.get("workers", {}).items():
+                busy = [row["index"] for row in rows if row["in_flight"] != 0]
+                assert not busy, "%s worker(s) %s still count requests in flight" % (
+                    shard_name,
+                    busy,
+                )
             assert stats["server"]["requests_total"] > 0
             for shard in stats["shards"]:
                 assert "current_bytes" in shard["cache"], "cache bytes missing"
@@ -227,6 +235,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             assert blobs == expected_blobs, (
                 "/stats counts %d stored blobs, expected %d" % (blobs, expected_blobs)
             )
+            # Every worker's catalog view refreshes for /stats, so each
+            # shard, and each of its workers, reports the shard's live
+            # keys whichever worker took the PUTs.
+            live = sum(int(shard["catalog"]["live"]) for shard in stats["shards"])
+            assert live == expected_blobs, (
+                "/stats counts %d live catalog entries, expected %d"
+                % (live, expected_blobs)
+            )
+            by_shard = {shard["name"]: shard["catalog"]["live"] for shard in stats["shards"]}
+            for shard_name, rows in stats.get("workers", {}).items():
+                for row in rows:
+                    with ServeClient(host, int(row["port"])) as direct:
+                        seen = direct.stats()["shards"][0]["catalog"]["live"]
+                    assert seen == by_shard[shard_name], (
+                        "%s worker %s counts %d live catalog entries, the shard %d"
+                        % (shard_name, row["index"], seen, by_shard[shard_name])
+                    )
             client.close()
             print("serve-smoke: PASS")
             return 0

@@ -81,9 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="W",
-        help="worker processes per shard under --topology proc; keyed "
-        "reads stick to an affinity worker and fail over to the others "
-        "(default 1)",
+        help="worker processes per shard under --topology proc; each "
+        "request goes to the live worker with the fewest requests in "
+        "flight, ties to the key's affinity worker, and fails over to "
+        "the others (default 1)",
     )
     parser.add_argument(
         "--backend",

@@ -18,10 +18,12 @@ policy of :mod:`repro.serve.replicas` decides which owner answers — the
 same policy the in-process tier runs, except the shards are
 :class:`RemoteShard` handles that speak HTTP over loopback instead of
 decoding locally, and a worker's error reply is classified by its
-envelope code.  Within one shard a keyed request prefers its affinity
-worker — the same worker every time for a given key, so worker-local
-caches and single-flight coalescing keep working — before trying the
-shard's other workers.
+envelope code.  Within one shard a request goes to the live worker with
+the fewest requests in flight from this proxy, so concurrent reads keep
+every worker decoding; on a tie it goes to the key's affinity worker —
+the same worker every time for a given key, so idle and serial reads of
+a key hit that worker's cache and single-flight map.  The shard's other
+workers are its failover.
 
 What the proxy forwards it forwards **verbatim**: a worker's error
 envelope (with the worker's ``request_id``) and its response bytes pass
@@ -45,6 +47,7 @@ from collections import deque
 from typing import (
     Any,
     AsyncIterator,
+    Callable,
     Deque,
     Dict,
     List,
@@ -215,6 +218,12 @@ class RemoteShard:
     connections are pooled per worker and tagged with the worker's spawn
     generation, so a restarted worker's stale sockets are discarded
     instead of retried.
+
+    Every forward counts in its worker's ``in_flight`` from the moment
+    it starts until its reply is read to the end or the attempt fails,
+    which is what :meth:`WorkerGroup.candidates` balances on.
+    ``on_divert`` runs for each keyed request sent past its live
+    affinity worker because that one had more requests in flight.
     """
 
     def __init__(
@@ -222,10 +231,12 @@ class RemoteShard:
         group: WorkerGroup,
         request_timeout: float = 30.0,
         pool_size: int = 32,
+        on_divert: Optional[Callable[[], None]] = None,
     ) -> None:
         self.group = group
         self.request_timeout = request_timeout
         self.pool_size = pool_size
+        self.on_divert = on_divert
         self._pools: Dict[
             int, Deque[Tuple[int, asyncio.StreamReader, asyncio.StreamWriter]]
         ] = {}
@@ -342,10 +353,7 @@ class RemoteShard:
         for worker in self.group.candidates(key):
             try:
                 budget = self._attempt_budget(context)
-                reply = await asyncio.wait_for(
-                    self._open_stream_worker(worker, method, target, body, context),
-                    budget,
-                )
+                reply = await self._attempt(worker, budget, method, target, body, context)
                 replies.append(await _buffered(reply))
             except DeadlineExceededError:
                 raise
@@ -381,13 +389,15 @@ class RemoteShard:
         """
         last_error: Optional[BaseException] = None
         retryable: Optional[WorkerReply] = None
-        for worker in self.group.candidates(key):
+        candidates = self.group.candidates(key)
+        if key is not None and self.on_divert is not None:
+            affinity = self.group.affinity(key)
+            if candidates[0] is not affinity and affinity.alive:
+                self.on_divert()
+        for worker in candidates:
             budget = self._attempt_budget(context)
             try:
-                reply = await asyncio.wait_for(
-                    self._open_stream_worker(worker, method, target, body, context),
-                    budget,
-                )
+                reply = await self._attempt(worker, budget, method, target, body, context)
             except asyncio.TimeoutError:
                 if context is not None and context.deadline.expired:
                     raise DeadlineExceededError(
@@ -411,9 +421,39 @@ class RemoteShard:
             % (self.name, method, target, last_error)
         )
 
+    async def _attempt(
+        self,
+        worker: WorkerProcess,
+        budget: float,
+        method: str,
+        target: str,
+        body: bytes,
+        context: Optional[RequestContext],
+    ) -> WorkerReply:
+        """One forward to ``worker`` within ``budget`` seconds, counted in its ``in_flight``.
+
+        The count rises at the call, before anything is awaited, so a
+        request choosing a worker right after this one sees it.  It drops
+        once: when this fails (timeouts and cancellation included) or
+        returns a buffered reply, or else when the streamed body ends.
+        """
+        slot = _InFlight(worker)
+        try:
+            reply = await asyncio.wait_for(
+                self._open_stream_worker(worker, slot, method, target, body, context),
+                budget,
+            )
+        except BaseException:
+            slot.release()
+            raise
+        if isinstance(reply.body, bytes):
+            slot.release()
+        return reply
+
     async def _open_stream_worker(
         self,
         worker: WorkerProcess,
+        slot: "_InFlight",
         method: str,
         target: str,
         body: bytes,
@@ -440,7 +480,10 @@ class RemoteShard:
                 raise
             chunked = headers.get("transfer-encoding", "").lower() == "chunked"
             if status < 300 and chunked:
-                pieces = self._stream_pieces(worker, generation, reader, writer)
+                pieces = self._stream_pieces(worker, slot, generation, reader, writer)
+                # Entered before it is handed out, so its ``finally`` runs
+                # however the stream ends, even unread.
+                await pieces.__anext__()
                 return WorkerReply(status, headers, pieces)
             try:
                 reply_body = await _read_body(reader, headers)
@@ -459,18 +502,23 @@ class RemoteShard:
     async def _stream_pieces(
         self,
         worker: WorkerProcess,
+        slot: "_InFlight",
         generation: int,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> AsyncIterator[bytes]:
         """De-framed chunk payloads of one in-flight worker stream.
 
+        The first item is an empty placeholder that
+        :meth:`_open_stream_worker` takes before handing the stream out.
         The connection returns to the pool only after the terminating
         frame; an abandoned or failed iteration closes it instead, so a
         half-read stream can never be mistaken for an idle socket.
+        Either way the forward's ``in_flight`` slot is released here.
         """
         completed = False
         try:
+            yield b""
             while True:
                 piece = await asyncio.wait_for(
                     _read_chunk(reader), self.request_timeout
@@ -480,10 +528,26 @@ class RemoteShard:
                     return
                 yield piece
         finally:
+            slot.release()
             if completed:
                 self._checkin(worker, generation, reader, writer)
             else:
                 _close_writer(writer)
+
+
+class _InFlight:
+    """One forward's place in its worker's ``in_flight`` count, given back once."""
+
+    __slots__ = ("worker",)
+
+    def __init__(self, worker: WorkerProcess) -> None:
+        worker.in_flight += 1
+        self.worker: Optional[WorkerProcess] = worker
+
+    def release(self) -> None:
+        if self.worker is not None:
+            self.worker.in_flight -= 1
+            self.worker = None
 
 
 def _close_writer(writer: asyncio.StreamWriter) -> None:
@@ -530,8 +594,9 @@ def _merge_shard_section(target: Dict[str, object], section: Dict[str, object]) 
 
     The group's workers open the same store directory, so its ``backend``
     and ``catalog`` sections come from the first answering worker, not a
-    sum over the group (the catalog is that worker's own view of the
-    shared journal).  Every per-process counter adds, and the cache's
+    sum over the group (a worker refreshes its catalog view from the
+    shared catalog for ``/stats``, so any one of them describes the
+    shard).  Every per-process counter adds, and the cache's
     ``hit_rate`` is recomputed from the summed hits and misses.
     """
     section = dict(section)
@@ -567,7 +632,11 @@ class ProxyService(BaseService[RemoteShard]):
     ) -> None:
         router = StoreRouter(
             [
-                RemoteShard(group, request_timeout=worker_timeout)
+                RemoteShard(
+                    group,
+                    request_timeout=worker_timeout,
+                    on_divert=lambda: self.stats.bump("worker_diverted"),
+                )
                 for group in supervisor.groups
             ],
             supervisor.shard_names,

@@ -15,17 +15,21 @@ Process lifecycle lives here too:
   per-shard store path, parse the ready line for the bound port, probe
   ``GET /version`` and refuse a worker whose package version mismatches
   the proxy's (a rolling deploy must not mix wire behaviours);
-* :class:`WorkerGroup` — the W workers of one shard; readers pick a
-  worker by key affinity (stable hash of the content key) so repeated
-  reads of a key land on the same decoded cache and coalesce in the
-  same single-flight map, and fail over to the group's other workers;
+* :class:`WorkerGroup` — the W workers of one shard; a request goes to
+  the live worker with the fewest requests in flight from the proxy, so
+  concurrent reads keep every worker decoding, and ties go to the key's
+  affinity worker (stable hash of the content key), so idle and serial
+  reads of a key land on the same decoded cache and single-flight map;
+  the rest of the group is the request's failover;
 * :class:`WorkerSupervisor` — a monitor thread that restarts crashed
   workers with exponential backoff, and the SIGTERM drain cascade
   (workers drain their own in-flight work before exiting).
 
 Workers of one shard share the shard's backend path — content-addressed
 blobs written through any of them are readable by all — while each keeps
-its own decoded-cell cache and catalog view.
+its own decoded-cell cache and catalog view.  A view refreshes from the
+shared catalog when a read finds a tombstone there and on ``/stats``
+(:meth:`repro.store.catalog.Catalog.refresh`).
 """
 
 from __future__ import annotations
@@ -212,6 +216,8 @@ class WorkerProcess:
         self.restarts = 0
         self.ready = False
         self.started_at = 0.0
+        #: Requests the proxy has sent this worker and not finished reading.
+        self.in_flight = 0
         self._process: Optional[subprocess.Popen] = None
         self._lock = threading.Lock()
 
@@ -341,20 +347,27 @@ class WorkerGroup:
     def shard_name(self) -> str:
         return self.spec.shard_name
 
-    def candidates(self, key: Optional[str] = None) -> List[WorkerProcess]:
-        """Workers to try for one request, affinity-rotated and live-first.
+    def affinity(self, key: str) -> WorkerProcess:
+        """The worker a key's requests go to when the group is idle."""
+        return self.workers[zlib.crc32(key.encode("utf-8")) % len(self.workers)]
 
-        A keyed read starts at ``hash(key) % W`` so one key's repeated
-        reads hit the same worker's decoded cache (and coalesce in its
-        single-flight map); the rest of the group follows as failover.
-        Workers believed down sort last — a crashed worker mid-restart
-        is a last resort, not an immediate failure.
+    def candidates(self, key: Optional[str] = None) -> List[WorkerProcess]:
+        """Workers to try for one request: live, then least loaded, then affine.
+
+        Workers believed down sort last — a crashed worker mid-restart is
+        a last resort, not an immediate failure.  Live workers sort by
+        their requests in flight, so concurrent reads spread over the
+        group's processes the way the thread topology's shared pool
+        spreads them over its threads.  Ties keep the key's affinity
+        rotation, from :meth:`affinity` on: idle and serial reads of one
+        key hit the same worker's decoded cache (and coalesce in its
+        single-flight map).  The rest of the group follows as failover.
         """
         workers = self.workers
         if key is not None and len(workers) > 1:
-            start = zlib.crc32(key.encode("utf-8")) % len(workers)
+            start = self.affinity(key).index
             workers = workers[start:] + workers[:start]
-        return sorted(workers, key=lambda worker: not worker.alive)
+        return sorted(workers, key=lambda worker: (not worker.alive, worker.in_flight))
 
 
 class WorkerSupervisor:
@@ -474,6 +487,7 @@ class WorkerSupervisor:
                     "port": worker.port,
                     "up": worker.alive,
                     "restarts": worker.restarts,
+                    "in_flight": worker.in_flight,
                 }
                 for worker in group.workers
             ]

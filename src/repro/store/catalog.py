@@ -42,8 +42,9 @@ pagination logic is one code path over :meth:`Catalog.entries`):
     ``rewrite_factor`` lines per live entry, so a long-lived store's
     journal stays proportional to its catalog.  Several processes may
     share one journal (the worker processes of one shard do): appends,
-    rewrites and replays take turns under a lock file, and a rewrite
-    snapshots the journal on disk, not its own process's view.
+    rewrites and replays take turns under a lock file, a rewrite
+    snapshots the journal on disk, not its own process's view, and
+    :meth:`Catalog.refresh` applies the lines other processes appended.
 
 ``MemoryCatalog``
     Dict-backed, non-persistent — the fallback for custom/wrapped
@@ -54,6 +55,11 @@ safe to call from multiple threads; mutations are serialised by an
 internal lock and :meth:`Catalog.entries` returns an immutable snapshot.
 Reads never wait on persistence: the map has its own lock, which is
 never held across a journal fsync or a SQLite commit.
+
+Each open catalog is one process's *view* of its persistence.  Processes
+sharing a journal or a SQLite file see each other's writes only after
+:meth:`Catalog.refresh`, which the store runs where a stale view would
+answer wrongly: a blocking read that finds a tombstone, and ``stats``.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 try:
     import fcntl
@@ -390,6 +396,14 @@ class Catalog:
         with self._lock:
             return len(self._entries)
 
+    def refresh(self, key: Optional[str] = None) -> None:
+        """Apply what other processes wrote to the shared persistence.
+
+        At least ``key``'s entry, or every entry when ``key`` is ``None``,
+        afterwards matches the persistence.  The base catalog has no
+        persistence to share, so this is a no-op.
+        """
+
     def stats(self) -> Dict[str, int]:
         """Entry counts and byte totals for ``stats`` surfaces."""
         with self._lock:
@@ -434,10 +448,16 @@ class JournalCatalog(Catalog):
     catalog replays the journal.  When the journal grows past
     ``rewrite_factor`` lines per live entry (plus a fixed floor) it is
     rewritten in place as a snapshot through the same atomic
-    write-then-rename pattern the blob backend uses.  The snapshot is
-    replayed from the journal itself, under the lock every appender
-    takes, so lines another process appended (entries and tombstones
-    this view never saw) survive it.
+    write-then-rename pattern the blob backend uses.
+
+    The view keeps the journal it last read open and remembers how far
+    it read.  :meth:`refresh` applies the lines appended since, or
+    replays the whole journal when another process's rewrite replaced
+    the file; the open handle keeps the replaced file's inode in use, so
+    a new journal can never pass for the old one.  A rewrite first
+    brings the view up to date the same way, under the lock every
+    appender takes, so lines another process appended (entries and
+    tombstones this view never saw) survive it.
     """
 
     _REWRITE_FLOOR = 256
@@ -449,71 +469,139 @@ class JournalCatalog(Catalog):
         self.path = Path(path)
         self.rewrite_factor = rewrite_factor
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with _journal_lock(self.path, exclusive=False):
-            self._entries, self._journal_lines = self._read_journal()
+        #: The journal file this view last read, the bytes of it applied
+        #: and the lines in those bytes.
+        self._handle: Optional[BinaryIO] = None
+        self._offset = self._offset_lines = 0
+        self._journal_lines = 0
         #: Entries of the journal on disk at the last replay or rewrite.
-        self._disk_entries = len(self._entries)
+        self._disk_entries = 0
+        with _journal_lock(self.path, exclusive=False):
+            self._catch_up()
 
-    def _read_journal(self) -> Tuple[Dict[str, CatalogEntry], int]:
-        """The entry map the journal on disk replays to, and its line count."""
-        entries: Dict[str, CatalogEntry] = {}
-        lines = 0
-        if not self.path.exists():
-            return entries, lines
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                    op = event["op"]
-                    if op == "put":
-                        entry = CatalogEntry.from_json(event["entry"])
-                        entries[entry.key] = entry
-                    elif op == "purge":
-                        entries.pop(str(event["key"]), None)
-                    else:
-                        raise StoreError("unknown journal op %r" % (op,))
-                except (KeyError, TypeError, ValueError, StoreError) as error:
-                    raise StoreError(
-                        "corrupt catalog journal %s at line %d: %s"
-                        % (self.path, line_number, error)
-                    ) from None
-                lines += 1
-        return entries, lines
+    def refresh(self, key: Optional[str] = None) -> None:
+        with self._persist_lock, _journal_lock(self.path, exclusive=False):
+            self._catch_up()
+
+    def _catch_up(self) -> None:
+        """Apply the journal's unread lines to the view (journal lock held).
+
+        Callers other than ``__init__`` also hold ``_persist_lock``, so no
+        mutation of this view is between its install and its append.
+        """
+        try:
+            on_disk = os.stat(self.path)
+        except FileNotFoundError:
+            return
+        handle = self._handle
+        if handle is not None and os.path.samestat(os.fstat(handle.fileno()), on_disk):
+            replay, offset, number = False, self._offset, self._offset_lines
+        else:  # first read, or a sibling's rewrite replaced the journal
+            handle, replay, offset, number = open(self.path, "rb"), True, 0, 0
+        try:
+            handle.seek(offset)
+            tail = handle.read()
+            # Appenders hold the lock exclusively, so only a crash
+            # mid-append leaves a partial last line; it stays unread.
+            tail = tail[: tail.rfind(b"\n") + 1]
+            updates: Dict[str, Optional[CatalogEntry]] = {}
+            for line in tail.splitlines(keepends=True):
+                number += 1
+                if line.strip():
+                    key, entry = self._parse_event(line, number)
+                    updates[key] = entry
+                offset += len(line)
+        except BaseException:
+            if replay:
+                handle.close()
+            raise
+        if replay and self._handle is not None:
+            self._handle.close()
+        self._handle, self._offset, self._offset_lines = handle, offset, number
+        with self._lock:
+            entries = {} if replay else self._entries
+            for key, entry in updates.items():
+                if entry is None:
+                    entries.pop(key, None)
+                else:
+                    entries[key] = entry
+            self._entries = entries
+        if replay:
+            self._journal_lines, self._disk_entries = number, len(entries)
+
+    def _parse_event(self, line: bytes, number: int) -> Tuple[str, Optional[CatalogEntry]]:
+        """Journal line ``number`` as ``(key, entry)``; ``entry`` is ``None`` for a purge."""
+        try:
+            event = json.loads(line)
+            op = event["op"]
+            if op == "put":
+                entry = CatalogEntry.from_json(event["entry"])
+                return entry.key, entry
+            if op == "purge":
+                return str(event["key"]), None
+            raise StoreError("unknown journal op %r" % (op,))
+        except (KeyError, TypeError, ValueError, StoreError) as error:
+            raise StoreError(
+                "corrupt catalog journal %s at line %d: %s" % (self.path, number, error)
+            ) from None
 
     def _append(self, event: Dict[str, object]) -> None:
+        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
         with _journal_lock(self.path, exclusive=True):
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(event, sort_keys=True) + "\n")
+            with open(self.path, "ab") as handle:
+                start = handle.tell()
+                handle.write(line)
                 handle.flush()
                 os.fsync(handle.fileno())
+                current = self._handle
+                if (
+                    current is not None
+                    and start == self._offset
+                    and os.path.samestat(os.fstat(handle.fileno()), os.fstat(current.fileno()))
+                ):
+                    # Nothing was appended since this view last read: its
+                    # own line needs no re-reading.
+                    self._offset += len(line)
+                    self._offset_lines += 1
             self._journal_lines += 1
             live = max(len(self._entries), self._disk_entries, 1)
             if self._journal_lines > self._REWRITE_FLOOR + self.rewrite_factor * live:
                 self._rewrite()
 
     def _rewrite(self) -> None:
-        """Snapshot the journal over itself (atomic rename; lock held)."""
-        entries, _ = self._read_journal()
+        """Snapshot the journal over itself (atomic rename; both locks held)."""
+        self._catch_up()
+        with self._lock:
+            entries = list(self._entries.values())
         tmp = self.path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in entries.values():
-                handle.write(
-                    json.dumps({"op": "put", "entry": entry.as_json()}, sort_keys=True)
-                    + "\n"
-                )
+        handle = open(tmp, "w+b")
+        try:
+            for entry in entries:
+                event = {"op": "put", "entry": entry.as_json()}
+                handle.write((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        self._journal_lines = self._disk_entries = len(entries)
+            os.replace(tmp, self.path)
+        except BaseException:
+            handle.close()
+            raise
+        # The snapshot is the view's journal from here on, read to its end.
+        if self._handle is not None:
+            self._handle.close()
+        self._handle, self._offset = handle, handle.tell()
+        self._offset_lines = self._journal_lines = self._disk_entries = len(entries)
 
     def _persist_put(self, entry: CatalogEntry) -> None:
         self._append({"op": "put", "entry": entry.as_json()})
 
     def _persist_purge(self, key: str) -> None:
         self._append({"op": "purge", "key": key})
+
+    def close(self) -> None:
+        with self._persist_lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
 
 
 class SQLiteCatalog(Catalog):
@@ -523,7 +611,8 @@ class SQLiteCatalog(Catalog):
     row is ~200 bytes; 100k entries are nothing) and every mutation is
     written through synchronously, so queries never touch the database
     and the shared-dict semantics match the other implementations
-    exactly.  The connection is private to the catalog — the blob
+    exactly.  :meth:`refresh` re-reads one key's row, or the whole
+    table.  The connection is private to the catalog — the blob
     backend's connection and lock are not involved.
     """
 
@@ -540,19 +629,41 @@ class SQLiteCatalog(Catalog):
                     "key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
                 )
                 self._connection.commit()
-                rows = self._connection.execute("SELECT entry FROM catalog").fetchall()
         except sqlite3.Error as error:
             raise StoreError(
                 "cannot open catalog table in %s: %s" % (self.path, error)
             ) from None
-        for (document,) in rows:
+        self.refresh()
+
+    def refresh(self, key: Optional[str] = None) -> None:
+        with self._persist_lock:
             try:
-                entry = CatalogEntry.from_json(json.loads(document))
-            except (TypeError, ValueError, KeyError) as error:
+                if key is None:
+                    rows = self._connection.execute("SELECT entry FROM catalog").fetchall()
+                else:
+                    rows = self._connection.execute(
+                        "SELECT entry FROM catalog WHERE key = ?", (key,)
+                    ).fetchall()
+            except sqlite3.Error as error:
                 raise StoreError(
-                    "corrupt catalog row in %s: %s" % (self.path, error)
+                    "cannot read catalog table in %s: %s" % (self.path, error)
                 ) from None
-            self._entries[entry.key] = entry
+            entries = {}
+            for (document,) in rows:
+                try:
+                    entry = CatalogEntry.from_json(json.loads(document))
+                except (TypeError, ValueError, KeyError) as error:
+                    raise StoreError(
+                        "corrupt catalog row in %s: %s" % (self.path, error)
+                    ) from None
+                entries[entry.key] = entry
+            with self._lock:
+                if key is None:
+                    self._entries = entries
+                elif key in entries:
+                    self._entries[key] = entries[key]
+                else:
+                    self._entries.pop(key, None)
 
     def _persist_put(self, entry: CatalogEntry) -> None:
         self._connection.execute(

@@ -463,11 +463,22 @@ class ImageStore:
                 )
             return True
 
-    def _check_visible(self, key: str, include_deleted: bool) -> None:
-        """Raise for reads of tombstoned keys unless explicitly included."""
+    def _check_visible(
+        self, key: str, include_deleted: bool, cached_only: bool = False
+    ) -> None:
+        """Raise for reads of tombstoned keys unless explicitly included.
+
+        A blocking read that finds a tombstone refreshes the key's catalog
+        entry first: another process sharing this store may have revived
+        or purged the key since this catalog view last read it.  A
+        ``cached_only`` read raises at once instead; it must not do I/O.
+        """
         if include_deleted:
             return
         entry = self.catalog.get(key)
+        if entry is not None and entry.deleted and not cached_only:
+            self.catalog.refresh(key)
+            entry = self.catalog.get(key)
         if entry is not None and entry.deleted:
             raise BlobNotFoundError(
                 "key %s is soft-deleted (restore it or pass include_deleted=True)"
@@ -573,7 +584,7 @@ class ImageStore:
         racing it is caught by the header check in :meth:`_cached_cells`.
         """
         if cached_only:
-            self._check_visible(key, include_deleted)
+            self._check_visible(key, include_deleted, cached_only)
             return self._get_regions_pinned(key, stripe_ranges, planes, cached_only)
         with self._pin(key):
             self._check_visible(key, include_deleted)
@@ -708,7 +719,12 @@ class ImageStore:
         return self.cache.stats
 
     def stats(self) -> dict:
-        """Backend + cache + catalog counters (``repro-store stats`` payload)."""
+        """Backend + cache + catalog counters (``repro-store stats`` payload).
+
+        The catalog is refreshed first, so its counts include what other
+        processes sharing this store wrote.
+        """
+        self.catalog.refresh()
         return {
             "backend": dict(self.backend.stats(), kind=type(self.backend).__name__),
             "cache": self.cache.stats.as_json(),

@@ -4,16 +4,22 @@ The parity/e2e suites (:mod:`tests.serve.test_topologies`) prove the proc
 topology speaks the same API; this module exercises what only the proxy
 does — worker crash recovery under replication, the SIGTERM drain
 cascade, version-mismatch refusal, deadline-header forwarding, the
-worker-affinity rotation and worker-group health probes.
+least-in-flight worker choice and its accounting, sibling workers'
+catalog views and worker-group health probes.
 """
 
 from __future__ import annotations
 
+import asyncio
+import contextlib
 import io
+import itertools
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -24,7 +30,12 @@ from repro.imaging.synthetic import generate_planar_image
 from repro.serve.cli import shard_paths
 from repro.serve.client import ServeClient
 from repro.serve.deadline import Deadline, RequestContext, bind_context
-from repro.serve.proxy import ProxyService, RemoteShard, start_proxy_thread
+from repro.serve.proxy import (
+    ProxyService,
+    RemoteShard,
+    WorkerUnreachableError,
+    start_proxy_thread,
+)
 from repro.serve.worker import WorkerGroup, WorkerProcess, WorkerSpec, WorkerSupervisor
 from repro.store.backends import FilesystemBackend
 
@@ -64,6 +75,61 @@ def client(fleet):
     handle, _ = fleet
     with ServeClient(*handle.address) as active:
         yield active
+
+
+@contextlib.contextmanager
+def _one_shard(root, restart_backoff=0.1):
+    """1 shard x 2 sibling workers behind one proxy, replication 1."""
+    supervisor = WorkerSupervisor(
+        _specs(root, shards=1), workers_per_shard=2, restart_backoff=restart_backoff
+    ).start()
+    service = ProxyService(supervisor)
+    handle = start_proxy_thread(service)
+    try:
+        yield handle, supervisor
+    finally:
+        handle.stop()
+        service.close()
+
+
+@pytest.fixture(scope="module")
+def pair(tmp_path_factory):
+    with _one_shard(tmp_path_factory.mktemp("proxy-pair")) as running:
+        yield running
+
+
+_SEEDS = itertools.count(300)
+
+
+def _put_fresh(client, size=48, stripes=2):
+    """PUT a new image, so its first reads are cold; returns (key, image)."""
+    image = generate_planar_image("mandrill", size=size, seed=next(_SEEDS), planes=3)
+    return client.put_image(_ppm_bytes(image), stripes=stripes)["key"], image
+
+
+def _in_flight(client):
+    return [row["in_flight"] for rows in client.stats()["workers"].values() for row in rows]
+
+
+class _Running:
+    def poll(self):
+        return None
+
+
+def _mirror(supervisor):
+    """A pretend-live copy of shard 0's workers, to drive a RemoteShard directly."""
+    live = supervisor.groups[0]
+    group = WorkerGroup(live.spec, count=len(live.workers))
+    for copy, worker in zip(group.workers, live.workers):
+        copy.host, copy.port = worker.host, worker.port
+        copy.ready, copy._process = True, _Running()
+    return group
+
+
+def _closed_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
 
 
 class TestSupervision:
@@ -295,3 +361,214 @@ class TestAffinityAndForwarding:
         lapsed = RequestContext(Deadline(0.0))
         with pytest.raises(DeadlineExceededError):
             shard._attempt_budget(lapsed)
+
+    def test_candidates_order_by_liveness_then_in_flight_then_affinity(self, tmp_path):
+        group = WorkerGroup(_specs(tmp_path, shards=1)[0], count=3)
+        for worker in group.workers:
+            worker.ready, worker._process = True, _Running()
+        affine = group.affinity("key-a")
+        idle = [w.index for w in group.candidates("key-a")]
+        assert idle[0] == affine.index  # an idle group routes by affinity
+        affine.in_flight = 2
+        group.workers[idle[1]].in_flight = 1
+        assert [w.index for w in group.candidates("key-a")] == [idle[2], idle[1], affine.index]
+        group.workers[idle[2]].in_flight = 2
+        # Ties keep the affinity rotation; a down worker sorts last however idle.
+        assert [w.index for w in group.candidates("key-a")] == [idle[1], affine.index, idle[2]]
+        group.workers[idle[1]].ready = False
+        group.workers[idle[1]].in_flight = 0
+        assert [w.index for w in group.candidates("key-a")] == [affine.index, idle[2], idle[1]]
+
+    def test_one_worker_routes_as_before(self, tmp_path):
+        group = WorkerGroup(_specs(tmp_path, shards=1)[0], count=1)
+        worker = group.workers[0]
+        worker.ready, worker._process, worker.in_flight = True, _Running(), 5
+        assert group.candidates("key-a") == [worker] == group.candidates()
+        assert group.affinity("key-a") is worker
+
+    def test_concurrent_cold_reads_of_one_affinity_worker_use_both(self, pair):
+        handle, supervisor = pair
+        group = supervisor.groups[0]
+        with ServeClient(*handle.address) as client:
+            # Of three keys, two share an affinity worker.
+            by_worker = {}
+            for _ in range(3):
+                key, image = _put_fresh(client, size=64, stripes=1)
+                by_worker.setdefault(group.affinity(key).index, []).append((key, image))
+            shared = max(by_worker.values(), key=len)[:2]
+
+            def misses():
+                counts = []
+                for worker in group.workers:
+                    with ServeClient(worker.host, worker.port) as direct:
+                        counts.append(direct.stats()["shards"][0]["cache"]["misses"])
+                return counts
+
+            before = misses()
+            diverted = client.stats()["server"]["counters"].get("worker_diverted", 0)
+            barrier = threading.Barrier(len(shared))
+            served = {}
+
+            def read(key):
+                with ServeClient(*handle.address) as own:
+                    barrier.wait()
+                    served[key] = own.get_region(key, 0, 1)
+
+            threads = [threading.Thread(target=read, args=(key,)) for key, _ in shared]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            for key, image in shared:
+                assert served[key] == image
+            assert all(after > earlier for after, earlier in zip(misses(), before))
+            counters = client.stats()["server"]["counters"]
+            assert counters["worker_diverted"] == diverted + 1
+            assert _in_flight(client) == [0, 0]
+
+
+class TestInFlightAccounting:
+    """A worker's ``in_flight`` is back at 0 however its forward ended."""
+
+    def test_buffered_and_streamed_replies(self, pair):
+        handle, _ = pair
+        with ServeClient(*handle.address) as client:
+            key, image = _put_fresh(client)
+            assert _in_flight(client) == [0, 0]
+            assert client.get_image(key) == image
+            assert _in_flight(client) == [0, 0]
+            region, _timings = client.get_region_stream(key, 0, 2)
+            assert region == image
+            assert _in_flight(client) == [0, 0]
+
+    def test_a_stream_the_client_abandons(self, pair):
+        handle, _ = pair
+        with ServeClient(*handle.address) as client:
+            key, _ = _put_fresh(client, size=96, stripes=8)
+            with socket.create_connection(handle.address) as raw:
+                raw.sendall(
+                    b"GET /images/%s/region/0-8?stream=1 HTTP/1.1\r\nhost: t\r\n\r\n"
+                    % key.encode()
+                )
+                assert raw.recv(64).startswith(b"HTTP/1.1 200")
+            give_up = time.monotonic() + 30.0
+            while any(_in_flight(client)):
+                assert time.monotonic() < give_up, _in_flight(client)
+                time.sleep(0.05)
+
+    def test_a_stream_closed_early_or_never_read(self, pair):
+        handle, supervisor = pair
+        with ServeClient(*handle.address) as client:
+            key, _ = _put_fresh(client, stripes=4)
+        group = _mirror(supervisor)
+        shard = RemoteShard(group)
+        target = "/images/%s/region/0-4?stream=1" % key
+
+        async def drive():
+            try:
+                reply = await shard.open_stream("GET", target, key=key)
+                assert reply.status == 200
+                assert sum(w.in_flight for w in group.workers) == 1
+                assert await reply.body.__anext__()  # the Netpbm header
+                await reply.body.aclose()
+                unread = await shard.open_stream("GET", target, key=key)
+                assert sum(w.in_flight for w in group.workers) == 1
+                await unread.body.aclose()
+            finally:
+                shard.close()
+
+        asyncio.run(drive())
+        assert [w.in_flight for w in group.workers] == [0, 0]
+
+    def test_a_worker_timeout(self, pair):
+        handle, supervisor = pair
+        with ServeClient(*handle.address) as client:
+            key, _ = _put_fresh(client, size=96, stripes=1)
+        group = _mirror(supervisor)
+        shard = RemoteShard(group, request_timeout=0.001)
+
+        async def drive():
+            try:
+                with pytest.raises(WorkerUnreachableError, match="did not answer"):
+                    await shard.request("GET", "/images/%s" % key, key=key)
+            finally:
+                shard.close()
+
+        asyncio.run(drive())
+        assert [w.in_flight for w in group.workers] == [0, 0]
+
+    def test_a_transport_failure_fails_over(self, pair):
+        handle, supervisor = pair
+        with ServeClient(*handle.address) as client:
+            key, _ = _put_fresh(client)
+        group = _mirror(supervisor)
+        group.affinity(key).port = _closed_port()
+        shard = RemoteShard(group)
+
+        async def drive():
+            try:
+                return await shard.request("GET", "/images/%s" % key, key=key)
+            finally:
+                shard.close()
+
+        assert asyncio.run(drive()).status == 200
+        assert [w.in_flight for w in group.workers] == [0, 0]
+
+    def test_a_lapsed_deadline(self, pair):
+        handle, supervisor = pair
+        with ServeClient(*handle.address) as client:
+            key, _ = _put_fresh(client, size=96, stripes=1)
+        group = _mirror(supervisor)
+        shard = RemoteShard(group)
+
+        async def drive():
+            try:
+                with pytest.raises(DeadlineExceededError):
+                    await shard.request(
+                        "GET",
+                        "/images/%s" % key,
+                        context=RequestContext(Deadline(0.05)),
+                        key=key,
+                    )
+            finally:
+                shard.close()
+
+        asyncio.run(drive())
+        assert [w.in_flight for w in group.workers] == [0, 0]
+
+
+class TestSiblingCatalogViews:
+    def test_every_worker_reports_the_shards_catalog(self, tmp_path):
+        with _one_shard(tmp_path) as (handle, supervisor):
+            group = supervisor.groups[0]
+            with ServeClient(*handle.address) as client:
+                keys = [_put_fresh(client, size=16)[0] for _ in range(6)]
+                # Serial PUTs go to each key's affinity worker: both took some.
+                assert {group.affinity(key).index for key in keys} == {0, 1}
+                assert client.stats()["shards"][0]["catalog"]["live"] == 6
+            for worker in group.workers:
+                with ServeClient(worker.host, worker.port) as direct:
+                    assert direct.stats()["shards"][0]["catalog"]["live"] == 6
+
+    def test_a_revived_key_reads_through_the_sibling_worker(self, tmp_path):
+        # The DELETE reaches both workers, the revive only the one taking
+        # the PUT; with that worker dead the sibling must see the revive.
+        with _one_shard(tmp_path, restart_backoff=60.0) as (handle, supervisor):
+            with ServeClient(*handle.address) as client:
+                image = generate_planar_image("boat", size=32, seed=7, planes=3)
+                key = client.put_image(_ppm_bytes(image), stripes=4)["key"]
+                client.delete_image(key, ttl=3600)
+                assert client.put_image(_ppm_bytes(image), stripes=4)["key"] == key
+                victim = supervisor.groups[0].affinity(key)
+                os.kill(victim.pid, signal.SIGKILL)
+                give_up = time.monotonic() + 10.0
+                while victim.alive:
+                    assert time.monotonic() < give_up, "the killed worker still looks alive"
+                    time.sleep(0.01)
+                rows = image.to_array()
+                top = 0
+                for stripe in range(4):
+                    region = client.get_region(key, stripe, stripe + 1)
+                    assert (region.to_array() == rows[top : top + region.height]).all()
+                    top += region.height
+                assert top == image.height

@@ -353,6 +353,148 @@ class TestPersistence:
             SQLiteCatalog(path)
 
 
+class TestSiblingViews:
+    """Views of one catalog held by different processes, as shard workers hold them."""
+
+    def test_refresh_applies_what_a_sibling_journal_view_appended(self, tmp_path):
+        path = tmp_path / "catalog.jsonl"
+        a, b = JournalCatalog(path), JournalCatalog(path)
+        a.record_put(_entry("x"))
+        assert b.get("x") is None  # a view sees its own writes only...
+        b.refresh()
+        assert b.get("x") is not None  # ...until it refreshes
+        a.mark_deleted("x", deleted_at=1.0)
+        b.record_put(_entry("mine"))  # appended after a's line, unread by b
+        a.record_put(_entry("y"))
+        b.refresh()
+        assert b.get("x").deleted and b.get("y") is not None
+        assert b.get("mine") is not None
+        a.purge("x")
+        b.refresh()
+        assert b.get("x") is None
+        assert b.entries() == JournalCatalog(path).entries()
+
+    def test_refresh_replays_a_journal_a_sibling_rewrote(self, tmp_path):
+        path = tmp_path / "catalog.jsonl"
+        a, b = JournalCatalog(path), JournalCatalog(path)
+        b.record_put(_entry("only-b"))
+        TestPersistence._churn_past_rewrite(a)
+        assert len(path.read_text().strip().splitlines()) < 300  # a rewrote it
+        a.record_put(_entry("after-rewrite"))
+        b.refresh()
+        assert len(b) == 12
+        assert b.get("after-rewrite") is not None and b.get("only-b") is not None
+        assert b.entries() == JournalCatalog(path).entries()
+
+    def test_refresh_leaves_a_torn_last_line_unread(self, tmp_path):
+        path = tmp_path / "catalog.jsonl"
+        a, b = JournalCatalog(path), JournalCatalog(path)
+        a.record_put(_entry("whole"))
+        line = json.dumps({"op": "put", "entry": _entry("torn").as_json()})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[:20])  # a crash mid-append
+        b.refresh()
+        assert b.get("whole") is not None and b.get("torn") is None
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(line[20:] + "\n")
+        b.refresh()
+        assert b.get("torn") is not None
+
+    def test_views_refreshing_while_siblings_append_and_rewrite_agree(
+        self, tmp_path, monkeypatch
+    ):
+        # More views than cores, each putting, tombstoning, reviving and
+        # refreshing while the others append and rewrite: a line a view
+        # skipped or applied out of order would leave it disagreeing with
+        # a fresh replay of the journal.
+        monkeypatch.setattr(JournalCatalog, "_REWRITE_FLOOR", 4)
+        path = tmp_path / "catalog.jsonl"
+        views = [JournalCatalog(path, rewrite_factor=1) for _ in range(4)]
+
+        errors = []
+
+        def churn(index, view):
+            try:
+                for number in range(40):
+                    key = "k%d" % (number % 7)
+                    view.record_put(_entry(key, tags=(("by", str(index)),)))
+                    if number % 3 == index % 3:
+                        view.mark_deleted(key, deleted_at=float(number))
+                    view.refresh(key)
+            except Exception as error:  # reported below, not lost in the thread
+                errors.append(error)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=churn, args=(index, view))
+                for index, view in enumerate(views)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors, errors
+        replayed = JournalCatalog(path).entries()
+        assert len(replayed) == 7
+        for view in views:
+            view.refresh()
+            assert view.entries() == replayed
+
+    def test_sqlite_refresh_reads_a_sibling_connections_rows(self, tmp_path):
+        path = tmp_path / "catalog.sqlite"
+        a, b = SQLiteCatalog(path), SQLiteCatalog(path)
+        try:
+            a.record_put(_entry("x"))
+            a.record_put(_entry("y"))
+            b.refresh("x")
+            assert b.get("x") is not None and b.get("y") is None
+            a.purge("x")
+            b.refresh()
+            assert b.get("x") is None and b.get("y") is not None
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("name", ["blobs", "blobs.sqlite"])
+    def test_a_revived_key_reads_right_through_a_sibling_store(self, tmp_path, name):
+        # Put on A, soft-delete on both (the proxy broadcasts tombstones),
+        # put again on A: B holds a tombstone only the shared catalog lifts.
+        a, b = ImageStore.open(tmp_path / name), ImageStore.open(tmp_path / name)
+        try:
+            image = generate_planar_image("lena", size=16)
+            key = a.put(image, stripes=2)
+            a.soft_delete(key, ttl_seconds=3600.0)
+            b.soft_delete(key, ttl_seconds=3600.0)
+            assert a.put(image, stripes=2) == key
+            assert b.get_region(key, (0, 2)) == image
+            assert b.stats()["catalog"]["live"] == 1
+        finally:
+            a.close()
+            b.close()
+
+    def test_a_memory_only_read_of_a_tombstone_raises_without_refreshing(self, tmp_path):
+        a, b = ImageStore.open(tmp_path / "blobs"), ImageStore.open(tmp_path / "blobs")
+        try:
+            image = generate_planar_image("boat", size=16)
+            key = a.put(image, stripes=2)
+            b.get(key)  # warm b's header and cells
+            a.soft_delete(key, ttl_seconds=3600.0)
+            b.soft_delete(key, ttl_seconds=3600.0)
+            a.put(image, stripes=2)
+            with pytest.raises(BlobNotFoundError):
+                b.get(key, cached_only=True)
+            assert b.get(key) == image  # the blocking read refreshes
+            assert b.get(key, cached_only=True) == image
+        finally:
+            a.close()
+            b.close()
+
+
 class TestReadsNeverWaitOnPersistence:
     def test_get_returns_while_a_persist_is_blocked(self):
         entered = threading.Event()
