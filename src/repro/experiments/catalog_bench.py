@@ -6,10 +6,11 @@ numbers:
 
 * **query latency at scale** — ``repro-store ls`` is Python-side
   filtering over an in-memory entry map; this experiment loads the
-  catalog with ``entries`` synthetic rows (default 10k) for *both*
-  persistence flavours (journal and SQLite) and times a full unfiltered
-  page, a tag-filtered scan, and a deep-offset page (pagination near the
-  end of the result set, the worst case for offset-based paging);
+  catalog's one persistence, a SQLite table (the one both backends
+  use), with ``entries`` synthetic rows (default 10k) and times a full
+  unfiltered page, a tag-filtered scan, a deep-offset page (pagination
+  near the end of the result set, the worst case for offset-based
+  paging) and a reopen;
 * **bytes reclaimed by the lifecycle** — a small real corpus is
   ingested, half the streams are tombstoned with an already-lapsed TTL
   and GC-swept (measuring purged bytes), and the survivors are
@@ -31,7 +32,7 @@ from typing import Callable, Dict, List, Optional
 from repro.core.config import CodecConfig
 from repro.exceptions import ConfigError
 from repro.imaging.synthetic import CORPUS_IMAGE_NAMES, generate_planar_image
-from repro.store.catalog import CatalogEntry, CatalogFilter, JournalCatalog, SQLiteCatalog
+from repro.store.catalog import CatalogEntry, CatalogFilter, SQLiteCatalog
 from repro.store.compactor import compact
 from repro.store.gc import sweep
 from repro.store.store import ImageStore
@@ -72,7 +73,7 @@ def _synthetic_entry(index: int, created_at: float) -> CatalogEntry:
 
 @dataclass(frozen=True)
 class CatalogQueryRow:
-    """ls/filter latency against one persisted catalog flavour."""
+    """ls/filter latency against one persisted catalog."""
 
     catalog: str
     entries: int
@@ -189,10 +190,10 @@ def run_catalog_bench(
 ) -> CatalogBenchResult:
     """Measure catalog query latency at ``entries`` rows + lifecycle reclaim.
 
-    The latency half loads both catalog flavours with synthetic rows and
+    The latency half loads a SQLite catalog with synthetic rows and
     times unfiltered, tag-filtered and deep-offset queries plus a cold
-    reopen (journal replay / table load).  The lifecycle half ingests a
-    real corpus, GC-sweeps half of it and recompacts the rest.
+    reopen (table load).  The lifecycle half ingests a real corpus,
+    GC-sweeps half of it and recompacts the rest.
     """
     if entries < 100:
         raise ConfigError("catalog bench needs at least 100 entries, got %d" % entries)
@@ -208,22 +209,7 @@ def run_catalog_bench(
     base_time = 1_600_000_000.0
 
     with tempfile.TemporaryDirectory(prefix="repro-catalog-bench-") as root:
-        # -- query latency at scale, both persistence flavours ---------- #
-        journal_path = root + "/catalog.jsonl"
-        journal = JournalCatalog(journal_path, rewrite_factor=10_000)
-        for index in range(entries):
-            journal.record_put(_synthetic_entry(index, base_time))
-        result.rows.append(
-            _time_queries(
-                "journal",
-                journal,
-                entries,
-                repeats,
-                reopen=lambda: JournalCatalog(journal_path).close(),
-            )
-        )
-        journal.close()
-
+        # -- query latency at scale ------------------------------------ #
         sqlite_path = root + "/catalog.sqlite"
         sqlite_catalog = SQLiteCatalog(sqlite_path)
         for index in range(entries):

@@ -298,7 +298,6 @@ def _proc_server(args, root: Path) -> ReproServer:
         WorkerSpec(
             shard_name="shard-%02d" % index,
             store_path=path,
-            backend=args.backend,
             cache_bytes=args.cache_bytes,
             engine=args.engine,
             threads=args.workers,

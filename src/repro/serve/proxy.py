@@ -88,6 +88,10 @@ __all__ = [
     "start_proxy_thread",
 ]
 
+#: How a worker connection fails in transit: refused, reset, closed
+#: mid-reply or answered with a malformed head.
+_TRANSPORT_ERRORS = (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError)
+
 
 class WorkerUnreachableError(StoreError):
     """No worker process of a shard could be reached (or all timed out).
@@ -342,29 +346,36 @@ class RemoteShard:
         context: Optional[RequestContext] = None,
         key: Optional[str] = None,
     ) -> List[WorkerReply]:
-        """The same request to *every* worker of the group, best effort.
+        """The same request to *every* worker of the group at once, best effort.
 
-        Used for mutations that must land in every worker's catalog view
-        (tombstones): workers of one shard share the blob backend but
-        keep independent catalogs, so a delete applied to just one would
-        let a sibling worker resurrect the key on failover reads.
+        Used for tombstones: workers of one shard share one catalog table,
+        but each answers reads from its own view of it, and a memory-only
+        read consults that view without I/O.  A view refreshes a key only
+        when it holds the key's tombstone, so a delete must reach every
+        view.  Every worker gets the same budget, so a stalled worker
+        cannot keep the request from its siblings; one that has not
+        answered within it counts as unreachable, as does a transport
+        failure.  Raises :class:`DeadlineExceededError` when no worker
+        answered before the request deadline lapsed.
         """
+        budget = self._attempt_budget(context)
+
+        async def send(worker: WorkerProcess) -> WorkerReply:
+            reply = await self._attempt(worker, budget, method, target, body, context)
+            return await _buffered(reply)
+
+        outcomes = await asyncio.gather(
+            *(send(worker) for worker in self.group.candidates(key)),
+            return_exceptions=True,
+        )
         replies: List[WorkerReply] = []
-        for worker in self.group.candidates(key):
-            try:
-                budget = self._attempt_budget(context)
-                reply = await self._attempt(worker, budget, method, target, body, context)
-                replies.append(await _buffered(reply))
-            except DeadlineExceededError:
-                raise
-            except (
-                asyncio.TimeoutError,
-                ConnectionError,
-                OSError,
-                asyncio.IncompleteReadError,
-                ValueError,
-            ):
-                continue
+        for outcome in outcomes:
+            if isinstance(outcome, WorkerReply):
+                replies.append(outcome)
+            elif not isinstance(outcome, (asyncio.TimeoutError,) + _TRANSPORT_ERRORS):
+                raise outcome
+        if not replies and context is not None and context.deadline.expired:
+            raise DeadlineExceededError("no worker answered before the request deadline")
         return replies
 
     async def open_stream(
@@ -407,7 +418,7 @@ class RemoteShard:
                     "worker %s did not answer within %.1fs" % (worker.label, budget)
                 )
                 continue
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError) as error:
+            except _TRANSPORT_ERRORS as error:
                 last_error = error
                 continue
             if isinstance(reply.body, bytes) and reply.status in (429, 503):
@@ -473,7 +484,7 @@ class RemoteShard:
                 writer.write(payload)
                 await writer.drain()
                 status, headers = await _read_head(reader)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
+            except _TRANSPORT_ERRORS:
                 _close_writer(writer)
                 if conn is not None:
                     continue  # a stale pooled socket; retry on a fresh one
@@ -487,7 +498,7 @@ class RemoteShard:
                 return WorkerReply(status, headers, pieces)
             try:
                 reply_body = await _read_body(reader, headers)
-            except (ConnectionError, OSError, asyncio.IncompleteReadError, ValueError):
+            except _TRANSPORT_ERRORS:
                 _close_writer(writer)
                 if conn is not None:
                     continue
@@ -694,10 +705,10 @@ class ProxyService(BaseService[RemoteShard]):
     ) -> Tuple[List[Dict[str, Any]], int]:
         """Each group's rows: the union of its workers' listings.
 
-        Workers of one shard keep independent catalog views (each records
-        the puts it handled), so a group's rows are its workers' rows
-        deduplicated per key, newest first, and its total discounts the
-        duplicates.
+        Workers of one shard share one catalog table, but each lists its
+        own view of it, which lacks what its siblings wrote since it last
+        refreshed.  So a group's rows are its workers' rows deduplicated
+        per key, newest first, and its total discounts the duplicates.
         """
         tag: Optional[str] = None
         if filter.tags:
@@ -841,9 +852,9 @@ class ReproProxy(ReproServer):
             target += "?ttl=%s" % ttl
 
         async def tombstone(shard: RemoteShard) -> WorkerReply:
-            # Broadcast: every worker of the group keeps its own catalog,
-            # and the tombstone must land in all of them or a failover
-            # read through a sibling worker would resurrect the key.
+            # Broadcast: every worker of the group answers from its own
+            # catalog view, and the tombstone must land in all of them or
+            # a read through a sibling worker would resurrect the key.
             replies = await shard.broadcast("DELETE", target, context=context, key=key)
             if not replies:
                 raise WorkerUnreachableError(

@@ -143,7 +143,6 @@ class WorkerSpec:
 
     shard_name: str
     store_path: Path
-    backend: str = "fs"
     cache_bytes: int = DEFAULT_CACHE_BYTES
     engine: str = "reference"
     threads: Optional[int] = None
@@ -215,7 +214,6 @@ class WorkerProcess:
         self.generation = 0
         self.restarts = 0
         self.ready = False
-        self.started_at = 0.0
         #: Requests the proxy has sent this worker and not finished reading.
         self.in_flight = 0
         self._process: Optional[subprocess.Popen] = None
@@ -255,7 +253,6 @@ class WorkerProcess:
             self.host, self.port = host, port
             self.generation += 1
             self.ready = True
-            self.started_at = time.monotonic()
 
     @staticmethod
     def _await_ready(process: subprocess.Popen, timeout: float) -> "tuple[str, int]":
@@ -380,14 +377,12 @@ class WorkerSupervisor:
         spawn_timeout: float = 30.0,
         restart_backoff: float = 0.25,
         max_backoff: float = 5.0,
-        stable_after: float = 5.0,
         poll_interval: float = 0.1,
     ) -> None:
         self.groups = [WorkerGroup(spec, workers_per_shard) for spec in specs]
         self.spawn_timeout = spawn_timeout
         self.restart_backoff = restart_backoff
         self.max_backoff = max_backoff
-        self.stable_after = stable_after
         self.poll_interval = poll_interval
         self._stopping = threading.Event()
         self._monitor: Optional[threading.Thread] = None
@@ -431,10 +426,8 @@ class WorkerSupervisor:
                 # worker that had been up for a while restarts with the
                 # initial backoff again instead of an inherited penalty.
                 worker.mark_down()
-                uptime = now - worker.started_at
                 backoff = self.restart_backoff
                 self._pending[worker] = (now + backoff, backoff)
-                del uptime
                 return
             attempt_at, backoff = state
         if now < attempt_at:

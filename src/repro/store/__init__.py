@@ -30,7 +30,6 @@ from repro.store.catalog import (
     Catalog,
     CatalogEntry,
     CatalogFilter,
-    JournalCatalog,
     MemoryCatalog,
     SQLiteCatalog,
     open_catalog,
@@ -58,7 +57,6 @@ __all__ = [
     "CatalogEntry",
     "CatalogFilter",
     "MemoryCatalog",
-    "JournalCatalog",
     "SQLiteCatalog",
     "open_catalog",
     "DEFAULT_TTL_SECONDS",

@@ -25,39 +25,36 @@ of three lifecycle features:
   encoded size, coding parameters and ``compacted_at`` stamp after
   :mod:`repro.store.compactor` swaps a re-encoded blob in.
 
-Three implementations share the exact same semantics (the filter and
+Two implementations share the exact same semantics (the filter and
 pagination logic is one code path over :meth:`Catalog.entries`):
 
 ``SQLiteCatalog``
-    A ``catalog`` table in the *same* SQLite file as
-    :class:`~repro.store.backends.SQLiteBackend` — catalog and blobs
-    travel as one file.  Its own connection + lock, safe to drive from
-    the serve tier's worker threads.
-
-``JournalCatalog``
-    An append-only JSONL journal (``catalog.jsonl``) next to a
-    :class:`~repro.store.backends.FilesystemBackend` root.  Every
-    mutation appends one event line and the state is replayed at open;
-    the journal is rewritten as a snapshot when it grows past
-    ``rewrite_factor`` lines per live entry, so a long-lived store's
-    journal stays proportional to its catalog.  Several processes may
-    share one journal (the worker processes of one shard do): appends,
-    rewrites and replays take turns under a lock file, a rewrite
-    snapshots the journal on disk, not its own process's view, and
-    :meth:`Catalog.refresh` applies the lines other processes appended.
+    A ``catalog`` table: in the *same* SQLite file as
+    :class:`~repro.store.backends.SQLiteBackend`, so catalog and blobs
+    travel as one file, and in ``catalog.sqlite`` at the root of a
+    :class:`~repro.store.backends.FilesystemBackend`.  Every mutation is
+    one committed upsert or delete, which SQLite makes atomic and (at its
+    default ``synchronous=FULL``) durable, and which several processes
+    may share: the worker processes of one shard do.  Its own connection
+    + lock, safe to drive from the serve tier's worker threads.
 
 ``MemoryCatalog``
     Dict-backed, non-persistent — the fallback for custom/wrapped
-    backends and the base class of the journal implementation.
+    backends.
+
+A filesystem root that an earlier version left with a JSONL journal
+(``catalog.jsonl``) instead of the table is imported once when its
+catalog opens: the journal's replayed state is written to the table, and
+the journal renamed to ``catalog.jsonl.imported``.
 
 Thread-safety invariant: every public method of every implementation is
 safe to call from multiple threads; mutations are serialised by an
 internal lock and :meth:`Catalog.entries` returns an immutable snapshot.
 Reads never wait on persistence: the map has its own lock, which is
-never held across a journal fsync or a SQLite commit.
+never held across a SQLite commit.
 
-Each open catalog is one process's *view* of its persistence.  Processes
-sharing a journal or a SQLite file see each other's writes only after
+Each open catalog is one process's *view* of its table.  Processes
+sharing a SQLite file see each other's writes only after
 :meth:`Catalog.refresh`, which the store runs where a stale view would
 answer wrongly: a blocking read that finds a tombstone, and ``stats``.
 """
@@ -68,15 +65,10 @@ import json
 import os
 import sqlite3
 import threading
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX: one process per journal
-    fcntl = None  # type: ignore[assignment]
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import BlobNotFoundError, StoreError
 
@@ -86,7 +78,6 @@ __all__ = [
     "CatalogFilter",
     "Catalog",
     "MemoryCatalog",
-    "JournalCatalog",
     "SQLiteCatalog",
     "open_catalog",
 ]
@@ -262,17 +253,16 @@ class Catalog:
 
     Subclasses provide persistence by overriding the ``_persist_*``
     hooks; all state transitions, validation and the single filter +
-    pagination code path live here so the three implementations cannot
-    drift apart.  Every public method is thread-safe.
+    pagination code path live here so the implementations cannot drift
+    apart.  Every public method is thread-safe.
     """
 
     def __init__(self) -> None:
         # Two locks, always taken in this order: ``_persist_lock`` makes
-        # each mutation and its persistence one step, so the journal (or
-        # table) sees mutations in the order they happened; ``_lock``
-        # guards only the map and is never held across disk I/O, so
-        # readers (every store read checks for a tombstone) never wait on
-        # a writer's fsync.
+        # each mutation and its persistence one step, so the table sees
+        # mutations in the order they happened; ``_lock`` guards only the
+        # map and is never held across disk I/O, so readers (every store
+        # read checks for a tombstone) never wait on a writer's commit.
         self._persist_lock = threading.Lock()
         self._lock = threading.Lock()
         self._entries: Dict[str, CatalogEntry] = {}
@@ -426,194 +416,59 @@ class MemoryCatalog(Catalog):
     """Non-persistent catalog — custom/wrapped backends, tests, scratch."""
 
 
-@contextmanager
-def _journal_lock(path: Path, exclusive: bool) -> Iterator[None]:
-    """Hold the lock file of journal ``path``, shared or exclusive.
+_CREATE_TABLE = "CREATE TABLE IF NOT EXISTS catalog (key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
+_UPSERT = "INSERT OR REPLACE INTO catalog (key, entry) VALUES (?, ?)"
 
-    The lock lives in its own file (``catalog.jsonl.lock``), which the
-    rewrite's ``os.replace`` never swaps: a writer that waited out a
-    rewrite opens the new journal, not the unlinked old one.
+#: ``PRAGMA user_version`` of a catalog table an earlier version's journal
+#: was imported into; a fresh table has SQLite's default, 0.
+_JOURNAL_IMPORTED = 1
+
+
+def _row(entry: CatalogEntry) -> Tuple[str, str]:
+    return entry.key, json.dumps(entry.as_json(), sort_keys=True)
+
+
+def _replay_journal(path: Path) -> Dict[str, CatalogEntry]:
+    """The entries an earlier version's JSONL catalog journal replays to.
+
+    Each line is a ``{"op": "put", "entry": {...}}`` upsert or a
+    ``{"op": "purge", "key": ...}`` removal, applied in order.  A last
+    line without its newline is what a crash mid-append leaves, so it is
+    skipped; any other line that does not parse raises
+    :class:`StoreError` naming its number.
     """
-    with open(str(path) + ".lock", "a") as handle:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
-        yield
-
-
-class JournalCatalog(Catalog):
-    """Append-only JSONL journal next to a filesystem backend root.
-
-    Every mutation appends one ``{"op": ..., ...}`` line (flushed +
-    fsynced so a crash loses at most the in-flight line); opening the
-    catalog replays the journal.  When the journal grows past
-    ``rewrite_factor`` lines per live entry (plus a fixed floor) it is
-    rewritten in place as a snapshot through the same atomic
-    write-then-rename pattern the blob backend uses.
-
-    The view keeps the journal it last read open and remembers how far
-    it read.  :meth:`refresh` applies the lines appended since, or
-    replays the whole journal when another process's rewrite replaced
-    the file; the open handle keeps the replaced file's inode in use, so
-    a new journal can never pass for the old one.  A rewrite first
-    brings the view up to date the same way, under the lock every
-    appender takes, so lines another process appended (entries and
-    tombstones this view never saw) survive it.
-    """
-
-    _REWRITE_FLOOR = 256
-
-    def __init__(self, path: Union[str, Path], rewrite_factor: int = 4) -> None:
-        super().__init__()
-        if rewrite_factor < 1:
-            raise StoreError("journal rewrite factor must be >= 1, got %d" % rewrite_factor)
-        self.path = Path(path)
-        self.rewrite_factor = rewrite_factor
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        #: The journal file this view last read, the bytes of it applied
-        #: and the lines in those bytes.
-        self._handle: Optional[BinaryIO] = None
-        self._offset = self._offset_lines = 0
-        self._journal_lines = 0
-        #: Entries of the journal on disk at the last replay or rewrite.
-        self._disk_entries = 0
-        with _journal_lock(self.path, exclusive=False):
-            self._catch_up()
-
-    def refresh(self, key: Optional[str] = None) -> None:
-        with self._persist_lock, _journal_lock(self.path, exclusive=False):
-            self._catch_up()
-
-    def _catch_up(self) -> None:
-        """Apply the journal's unread lines to the view (journal lock held).
-
-        Callers other than ``__init__`` also hold ``_persist_lock``, so no
-        mutation of this view is between its install and its append.
-        """
-        try:
-            on_disk = os.stat(self.path)
-        except FileNotFoundError:
-            return
-        handle = self._handle
-        if handle is not None and os.path.samestat(os.fstat(handle.fileno()), on_disk):
-            replay, offset, number = False, self._offset, self._offset_lines
-        else:  # first read, or a sibling's rewrite replaced the journal
-            handle, replay, offset, number = open(self.path, "rb"), True, 0, 0
-        try:
-            handle.seek(offset)
-            tail = handle.read()
-            # Appenders hold the lock exclusively, so only a crash
-            # mid-append leaves a partial last line; it stays unread.
-            tail = tail[: tail.rfind(b"\n") + 1]
-            updates: Dict[str, Optional[CatalogEntry]] = {}
-            for line in tail.splitlines(keepends=True):
-                number += 1
-                if line.strip():
-                    key, entry = self._parse_event(line, number)
-                    updates[key] = entry
-                offset += len(line)
-        except BaseException:
-            if replay:
-                handle.close()
-            raise
-        if replay and self._handle is not None:
-            self._handle.close()
-        self._handle, self._offset, self._offset_lines = handle, offset, number
-        with self._lock:
-            entries = {} if replay else self._entries
-            for key, entry in updates.items():
-                if entry is None:
-                    entries.pop(key, None)
-                else:
-                    entries[key] = entry
-            self._entries = entries
-        if replay:
-            self._journal_lines, self._disk_entries = number, len(entries)
-
-    def _parse_event(self, line: bytes, number: int) -> Tuple[str, Optional[CatalogEntry]]:
-        """Journal line ``number`` as ``(key, entry)``; ``entry`` is ``None`` for a purge."""
+    data = path.read_bytes()
+    entries: Dict[str, CatalogEntry] = {}
+    for number, line in enumerate(data[: data.rfind(b"\n") + 1].splitlines(), 1):
+        if not line.strip():
+            continue
         try:
             event = json.loads(line)
             op = event["op"]
             if op == "put":
                 entry = CatalogEntry.from_json(event["entry"])
-                return entry.key, entry
-            if op == "purge":
-                return str(event["key"]), None
-            raise StoreError("unknown journal op %r" % (op,))
+                entries[entry.key] = entry
+            elif op == "purge":
+                entries.pop(str(event["key"]), None)
+            else:
+                raise StoreError("unknown journal op %r" % (op,))
         except (KeyError, TypeError, ValueError, StoreError) as error:
             raise StoreError(
-                "corrupt catalog journal %s at line %d: %s" % (self.path, number, error)
+                "corrupt catalog journal %s at line %d: %s" % (path, number, error)
             ) from None
-
-    def _append(self, event: Dict[str, object]) -> None:
-        line = (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
-        with _journal_lock(self.path, exclusive=True):
-            with open(self.path, "ab") as handle:
-                start = handle.tell()
-                handle.write(line)
-                handle.flush()
-                os.fsync(handle.fileno())
-                current = self._handle
-                if (
-                    current is not None
-                    and start == self._offset
-                    and os.path.samestat(os.fstat(handle.fileno()), os.fstat(current.fileno()))
-                ):
-                    # Nothing was appended since this view last read: its
-                    # own line needs no re-reading.
-                    self._offset += len(line)
-                    self._offset_lines += 1
-            self._journal_lines += 1
-            live = max(len(self._entries), self._disk_entries, 1)
-            if self._journal_lines > self._REWRITE_FLOOR + self.rewrite_factor * live:
-                self._rewrite()
-
-    def _rewrite(self) -> None:
-        """Snapshot the journal over itself (atomic rename; both locks held)."""
-        self._catch_up()
-        with self._lock:
-            entries = list(self._entries.values())
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        handle = open(tmp, "w+b")
-        try:
-            for entry in entries:
-                event = {"op": "put", "entry": entry.as_json()}
-                handle.write((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            handle.close()
-            raise
-        # The snapshot is the view's journal from here on, read to its end.
-        if self._handle is not None:
-            self._handle.close()
-        self._handle, self._offset = handle, handle.tell()
-        self._offset_lines = self._journal_lines = self._disk_entries = len(entries)
-
-    def _persist_put(self, entry: CatalogEntry) -> None:
-        self._append({"op": "put", "entry": entry.as_json()})
-
-    def _persist_purge(self, key: str) -> None:
-        self._append({"op": "purge", "key": key})
-
-    def close(self) -> None:
-        with self._persist_lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+    return entries
 
 
 class SQLiteCatalog(Catalog):
-    """Catalog table living in the blob backend's own SQLite file.
+    """Catalog table in a SQLite file, shared by every process opening it.
 
     The whole table is loaded into the in-memory map at open (a catalog
     row is ~200 bytes; 100k entries are nothing) and every mutation is
-    written through synchronously, so queries never touch the database
-    and the shared-dict semantics match the other implementations
-    exactly.  :meth:`refresh` re-reads one key's row, or the whole
-    table.  The connection is private to the catalog — the blob
-    backend's connection and lock are not involved.
+    written through synchronously, one commit each, so queries never
+    touch the database and the shared-dict semantics match
+    :class:`MemoryCatalog` exactly.  :meth:`refresh` re-reads one key's
+    row, or the whole table.  The connection is private to the catalog —
+    a SQLite blob backend's connection and lock are not involved.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -624,10 +479,7 @@ class SQLiteCatalog(Catalog):
         try:
             self._connection = sqlite3.connect(str(self.path), check_same_thread=False)
             with self._persist_lock:
-                self._connection.execute(
-                    "CREATE TABLE IF NOT EXISTS catalog ("
-                    "key TEXT PRIMARY KEY, entry TEXT NOT NULL)"
-                )
+                self._connection.execute(_CREATE_TABLE)
                 self._connection.commit()
         except sqlite3.Error as error:
             raise StoreError(
@@ -666,10 +518,7 @@ class SQLiteCatalog(Catalog):
                     self._entries.pop(key, None)
 
     def _persist_put(self, entry: CatalogEntry) -> None:
-        self._connection.execute(
-            "INSERT OR REPLACE INTO catalog (key, entry) VALUES (?, ?)",
-            (entry.key, json.dumps(entry.as_json(), sort_keys=True)),
-        )
+        self._connection.execute(_UPSERT, _row(entry))
         self._connection.commit()
 
     def _persist_purge(self, key: str) -> None:
@@ -681,10 +530,45 @@ class SQLiteCatalog(Catalog):
             self._connection.close()
 
 
+def _import_journal(database: Path, journal: Path) -> None:
+    """Write an earlier version's catalog ``journal`` into ``database``, once.
+
+    The rows and ``PRAGMA user_version`` commit in one ``BEGIN
+    IMMEDIATE`` transaction that first re-checks the version, so of
+    several processes opening one root at once exactly one imports, and
+    a later open never imports again, even when the journal was not
+    renamed: by then the table's rows may have changed.  After the commit
+    the journal is renamed to ``<journal>.imported``.  Runs before the
+    table is loaded, so a process that finds the journal already gone
+    loads the rows the importing process committed before renaming it.
+    """
+    try:
+        rows = [_row(entry) for entry in _replay_journal(journal).values()]
+    except FileNotFoundError:  # no journal, or a sibling process imported it
+        return
+    try:
+        # Closing rolls back a transaction an error left uncommitted.
+        with closing(sqlite3.connect(str(database))) as connection:
+            connection.execute(_CREATE_TABLE)
+            connection.execute("BEGIN IMMEDIATE")
+            (version,) = connection.execute("PRAGMA user_version").fetchone()
+            if version != _JOURNAL_IMPORTED:
+                connection.executemany(_UPSERT, rows)
+                connection.execute("PRAGMA user_version = %d" % _JOURNAL_IMPORTED)
+            connection.commit()
+    except sqlite3.Error as error:
+        raise StoreError("cannot import %s into %s: %s" % (journal, database, error)) from None
+    try:
+        os.replace(journal, journal.with_name(journal.name + ".imported"))
+    except FileNotFoundError:  # a sibling process renamed it first
+        pass
+
+
 def open_catalog(backend: object) -> Catalog:
     """The catalog a blob backend implies.
 
-    Filesystem backends get a JSONL journal under their root, SQLite
+    Filesystem backends get a table in ``catalog.sqlite`` at their root
+    (importing an earlier version's ``catalog.jsonl`` there once), SQLite
     backends a table in the same database file; anything else (custom
     backends, chaos wrappers around an already-open store) falls back to
     a non-persistent :class:`MemoryCatalog`.
@@ -692,7 +576,9 @@ def open_catalog(backend: object) -> Catalog:
     from repro.store.backends import FilesystemBackend, SQLiteBackend
 
     if isinstance(backend, FilesystemBackend):
-        return JournalCatalog(backend.root / "catalog.jsonl")
+        database = backend.root / "catalog.sqlite"
+        _import_journal(database, backend.root / "catalog.jsonl")
+        return SQLiteCatalog(database)
     if isinstance(backend, SQLiteBackend):
         return SQLiteCatalog(backend.path)
     return MemoryCatalog()

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from repro.exceptions import ConfigError, DeadlineExceededError
+from repro.exceptions import ConfigError, DeadlineExceededError, RemoteNotFoundError
 from repro.imaging.pnm import write_ppm
 from repro.imaging.synthetic import generate_planar_image
 from repro.serve.cli import shard_paths
@@ -572,3 +572,30 @@ class TestSiblingCatalogViews:
                     assert (region.to_array() == rows[top : top + region.height]).all()
                     top += region.height
                 assert top == image.height
+
+    def test_a_stalled_worker_does_not_keep_the_tombstone_from_its_sibling(self, tmp_path):
+        # The DELETE goes to both workers at once: the affinity worker is
+        # stopped, so only its sibling answers within the 400 ms budget,
+        # and its tombstone is the shard's answer.
+        with _one_shard(tmp_path, restart_backoff=60.0) as (handle, supervisor):
+            group = supervisor.groups[0]
+            with ServeClient(*handle.address) as client:
+                key, _ = _put_fresh(client, size=16)
+                stalled = group.affinity(key)
+                (sibling,) = [worker for worker in group.workers if worker is not stalled]
+                os.kill(stalled.pid, signal.SIGSTOP)
+                try:
+                    with ServeClient(*handle.address, deadline_ms=400) as hurried:
+                        assert hurried.delete_image(key, ttl=3600)["replicas"] == ["shard-00"]
+                finally:
+                    os.kill(stalled.pid, signal.SIGCONT)
+                with ServeClient(sibling.host, sibling.port) as direct:
+                    with pytest.raises(RemoteNotFoundError):
+                        direct.get_image(key)
+                os.kill(stalled.pid, signal.SIGKILL)
+                give_up = time.monotonic() + 10.0
+                while stalled.alive:
+                    assert time.monotonic() < give_up, "the killed worker still looks alive"
+                    time.sleep(0.01)
+                with pytest.raises(RemoteNotFoundError):
+                    client.get_image(key)

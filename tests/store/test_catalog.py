@@ -1,27 +1,35 @@
 """The metadata catalog: recording, queries, pagination, persistence.
 
-Covers the contract shared by all three implementations (one filter +
-pagination code path), the per-backend persistence (JSONL journal next to
-a filesystem store, a table inside a SQLite store), and the explicit
-acceptance cases: pagination past the end of the result set and filtering
-on a tag no entry carries.
+Covers the contract shared by both implementations (one filter +
+pagination code path), the one persistence (a SQLite table: in
+``catalog.sqlite`` at a filesystem store's root, inside a SQLite store's
+file), the one-time import of an earlier version's ``catalog.jsonl``, and
+the explicit acceptance cases: pagination past the end of the result set
+and filtering on a tag no entry carries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import sqlite3
+import subprocess
 import sys
 import threading
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import BlobNotFoundError, StoreError
 from repro.imaging.synthetic import generate_planar_image
 from repro.store import FilesystemBackend, ImageStore, SQLiteBackend
 from repro.store.catalog import (
     CatalogEntry,
     CatalogFilter,
-    JournalCatalog,
     MemoryCatalog,
     SQLiteCatalog,
     open_catalog,
@@ -45,6 +53,70 @@ def _entry(key: str, created_at: float = 0.0, **overrides) -> CatalogEntry:
     )
     fields.update(overrides)
     return CatalogEntry(**fields)
+
+
+def _put_event(entry: CatalogEntry) -> dict:
+    return {"op": "put", "entry": entry.as_json()}
+
+
+def _journal(path: Path, *events: dict, torn: str = "") -> None:
+    """Write a catalog journal as earlier versions kept it: one event per line."""
+    lines = [json.dumps(event, sort_keys=True) + "\n" for event in events]
+    path.write_text("".join(lines) + torn)
+
+
+def _legacy_root(tmp_path):
+    """A filesystem store an earlier version left: blobs beside ``catalog.jsonl``.
+
+    The journal holds a live key, a tombstoned key, a purged key and a
+    torn last line (a crash mid-append).
+    """
+    root = tmp_path / "legacy"
+    image = generate_planar_image("lena", size=16)
+    with ImageStore(FilesystemBackend(root), catalog=MemoryCatalog()) as store:
+        live = store.put(image, stripes=2)
+        doomed = store.put(generate_planar_image("boat", size=16), stripes=2)
+        live_entry, doomed_entry = store.catalog.get(live), store.catalog.get(doomed)
+    now = time.time()
+    _journal(
+        root / "catalog.jsonl",
+        _put_event(live_entry),
+        _put_event(doomed_entry),
+        _put_event(_entry("purged")),
+        _put_event(replace(doomed_entry, deleted_at=now, purge_after=now + 3600.0)),
+        {"op": "purge", "key": "purged"},
+        torn=json.dumps(_put_event(_entry("torn")))[:20],
+    )
+    return root, image, live, doomed
+
+
+#: One process opening a legacy root, printing every SQL statement it
+#: runs and then the rows its catalog loaded.
+_IMPORTER = """
+import json, sqlite3, sys, time
+from pathlib import Path
+
+connect = sqlite3.connect
+
+
+def traced(*args, **kwargs):
+    connection = connect(*args, **kwargs)
+    connection.set_trace_callback(lambda sql: print("SQL " + sql, flush=True))
+    return connection
+
+
+sqlite3.connect = traced
+from repro.store.backends import FilesystemBackend
+from repro.store.catalog import open_catalog
+
+root, go = Path(sys.argv[1]), Path(sys.argv[2])
+print("READY", flush=True)
+while not go.exists():
+    time.sleep(0.001)
+catalog = open_catalog(FilesystemBackend(root))
+print("ROWS " + json.dumps(sorted((e.key, e.deleted) for e in catalog.entries())), flush=True)
+catalog.close()
+"""
 
 
 @pytest.fixture(params=["filesystem", "sqlite"])
@@ -224,72 +296,27 @@ class TestPersistence:
 
     def test_open_catalog_dispatch(self, tmp_path):
         fs = FilesystemBackend(tmp_path / "fs")
-        assert isinstance(open_catalog(fs), JournalCatalog)
+        catalog = open_catalog(fs)
+        assert isinstance(catalog, SQLiteCatalog)
+        assert catalog.path == tmp_path / "fs" / "catalog.sqlite"
+        catalog.close()
         sq = SQLiteBackend(tmp_path / "blobs.sqlite")
         assert isinstance(open_catalog(sq), SQLiteCatalog)
         assert isinstance(open_catalog(object()), MemoryCatalog)
         sq.close()
 
-    def test_journal_rewrites_to_snapshot(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        catalog = JournalCatalog(path, rewrite_factor=1)
-        # Churn two keys far past the rewrite threshold (256 + 1 * live).
-        for round_number in range(140):
-            catalog.record_put(_entry("a", created_at=float(round_number)))
-            catalog.record_put(_entry("b", created_at=float(round_number)))
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) < 280  # the journal was snapshotted, not unbounded
-        reopened = JournalCatalog(path)
-        assert len(reopened) == 2
-        assert reopened.get("a") is not None and reopened.get("b") is not None
+    def test_the_catalog_file_is_never_taken_for_a_blob(self, tmp_path):
+        with ImageStore.open(tmp_path / "fs") as store:
+            key = store.put(generate_planar_image("lena", size=16), stripes=2)
+            assert (tmp_path / "fs" / "catalog.sqlite").is_file()
+            assert list(store.backend.keys()) == [key]
+            assert store.backend.stats()["blobs"] == 1
 
-    def test_journal_purge_persists(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        catalog = JournalCatalog(path)
-        catalog.record_put(_entry("a"))
-        catalog.record_put(_entry("b"))
-        catalog.purge("a")
-        reopened = JournalCatalog(path)
-        assert reopened.get("a") is None and reopened.get("b") is not None
-
-    @staticmethod
-    def _churn_past_rewrite(catalog):
-        for round_number in range(300):
-            catalog.record_put(_entry("b%d" % (round_number % 10)))
-
-    def test_shared_journal_rewrite_keeps_the_other_views_puts(self, tmp_path):
-        # Two views of one journal, as the worker processes of one shard
-        # hold: B's churn passes its rewrite threshold, and the snapshot
-        # must keep the put A appended, which B never saw.
-        path = tmp_path / "catalog.jsonl"
-        a, b = JournalCatalog(path), JournalCatalog(path)
-        a.record_put(_entry("only-a"))
-        self._churn_past_rewrite(b)
-        assert len(path.read_text().strip().splitlines()) < 300  # B rewrote it
-        reopened = JournalCatalog(path)
-        assert len(reopened) == 11
-        assert reopened.get("only-a") is not None
-
-    def test_shared_journal_rewrite_keeps_the_other_views_tombstones(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        a = JournalCatalog(path)
-        a.record_put(_entry("shared"))
-        b = JournalCatalog(path)  # B sees "shared" live
-        a.mark_deleted("shared", deleted_at=5.0)
-        self._churn_past_rewrite(b)
-        shared = JournalCatalog(path).get("shared")
-        assert shared is not None and shared.deleted
-
-    def test_concurrent_views_rewriting_one_journal_lose_no_entry(
-        self, tmp_path, monkeypatch
-    ):
-        # More writers than cores, each with its own view (so its own lock
-        # file handle); re-puts of a hot key make every view rewrite every
-        # few appends, and a put landing between another view's snapshot
-        # read and its rename would lose its key for good.
-        monkeypatch.setattr(JournalCatalog, "_REWRITE_FLOOR", 4)
-        path = tmp_path / "catalog.jsonl"
-        views = [JournalCatalog(path, rewrite_factor=1) for _ in range(4)]
+    def test_concurrent_views_writing_one_table_lose_no_entry(self, tmp_path):
+        # More writers than cores, each with its own view (so its own
+        # connection), re-putting a hot key between fresh ones.
+        path = tmp_path / "catalog.sqlite"
+        views = [SQLiteCatalog(path) for _ in range(4)]
 
         def put_all(index, view):
             for number in range(60):
@@ -310,18 +337,13 @@ class TestPersistence:
             assert not any(thread.is_alive() for thread in threads)
         finally:
             sys.setswitchinterval(switch)
+            for view in views:
+                view.close()
         expected = {"v%d-k%d" % (i, k) for i in range(4) for k in range(60)}
         expected.update("v%d-hot" % i for i in range(4))
-        assert {entry.key for entry in JournalCatalog(path).entries()} == expected
-
-    def test_corrupt_journal_fails_loudly(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        path.write_text('{"op": "put"}\n')  # missing the entry payload
-        with pytest.raises(StoreError, match="line 1"):
-            JournalCatalog(path)
-        path.write_text("not json at all\n")
-        with pytest.raises(StoreError):
-            JournalCatalog(path)
+        reopened = SQLiteCatalog(path)
+        assert {entry.key for entry in reopened.entries()} == expected
+        reopened.close()
 
     def test_sqlite_catalog_persists_mutations(self, tmp_path):
         path = tmp_path / "catalog.sqlite"
@@ -352,64 +374,148 @@ class TestPersistence:
         with pytest.raises(StoreError, match="corrupt catalog row"):
             SQLiteCatalog(path)
 
+    def test_a_legacy_journal_is_imported_with_its_tombstones(self, tmp_path):
+        root, image, live, doomed = _legacy_root(tmp_path)
+        with ImageStore.open(root) as store:
+            assert isinstance(store.catalog, SQLiteCatalog)
+            assert sorted(entry.key for entry in store.catalog.entries()) == sorted(
+                [live, doomed]
+            )
+            assert store.get(live) == image
+            assert store.catalog.get(doomed).deleted
+            with pytest.raises(BlobNotFoundError):
+                store.get(doomed)
+        assert not (root / "catalog.jsonl").exists()
+        assert (root / "catalog.jsonl.imported").is_file()
+        with contextlib.closing(sqlite3.connect(str(root / "catalog.sqlite"))) as probe:
+            assert probe.execute("PRAGMA user_version").fetchone() == (1,)
+
+    def test_the_import_commits_in_one_immediate_transaction_then_renames(
+        self, tmp_path, monkeypatch
+    ):
+        root, _, _, _ = _legacy_root(tmp_path)
+        connect, rename = sqlite3.connect, os.replace
+        statements = []
+        at_rename = []
+
+        def traced(*args, **kwargs):
+            connection = connect(*args, **kwargs)
+            connection.set_trace_callback(statements.append)
+            return connection
+
+        def checked_rename(source, target):
+            with contextlib.closing(connect(str(root / "catalog.sqlite"))) as probe:
+                (version,) = probe.execute("PRAGMA user_version").fetchone()
+                (rows,) = probe.execute("SELECT COUNT(*) FROM catalog").fetchone()
+            at_rename.append((version, rows))
+            rename(source, target)
+
+        monkeypatch.setattr(sqlite3, "connect", traced)
+        monkeypatch.setattr(os, "replace", checked_rename)
+        open_catalog(FilesystemBackend(root)).close()
+        begin = statements.index("BEGIN IMMEDIATE")
+        commit = statements.index("COMMIT", begin)
+        transaction = statements[begin + 1 : commit]
+        assert transaction[0] == "PRAGMA user_version"
+        assert transaction[-1] == "PRAGMA user_version = 1"
+        assert [sql.split(" (")[0] for sql in transaction[1:-1]] == [
+            "INSERT OR REPLACE INTO catalog"
+        ] * 2
+        outside = statements[:begin] + statements[commit + 1 :]
+        assert not [sql for sql in outside if not sql.startswith(("CREATE", "SELECT"))]
+        assert at_rename == [(1, 2)]
+
+    def test_a_reopen_never_imports_again(self, tmp_path):
+        root, _, live, doomed = _legacy_root(tmp_path)
+        with ImageStore.open(root) as store:
+            store.delete(live)
+            store.restore(doomed)
+        # As if the process had died between the import's commit and rename.
+        os.replace(root / "catalog.jsonl.imported", root / "catalog.jsonl")
+        with ImageStore.open(root) as store:
+            assert store.catalog.get(live) is None
+            assert not store.catalog.get(doomed).deleted
+        assert not (root / "catalog.jsonl").exists()
+
+    def test_journal_purge_persists(self, tmp_path):
+        # A purge an earlier version journaled stays a purge in the table.
+        root = tmp_path / "legacy"
+        root.mkdir()
+        _journal(
+            root / "catalog.jsonl",
+            _put_event(_entry("a")),
+            _put_event(_entry("b")),
+            {"op": "purge", "key": "a"},
+        )
+        open_catalog(FilesystemBackend(root)).close()
+        reopened = open_catalog(FilesystemBackend(root))
+        assert reopened.get("a") is None and reopened.get("b") is not None
+        reopened.close()
+
+    def test_corrupt_journal_fails_loudly(self, tmp_path):
+        root = tmp_path / "legacy"
+        root.mkdir()
+        journal = root / "catalog.jsonl"
+        _journal(
+            journal,
+            _put_event(_entry("a")),
+            {"op": "put"},  # missing the entry payload
+            _put_event(_entry("b")),
+        )
+        with pytest.raises(StoreError, match="line 2"):
+            open_catalog(FilesystemBackend(root))
+        journal.write_text("not json at all\n")
+        with pytest.raises(StoreError, match="line 1"):
+            ImageStore.open(root)
+        # Nothing imported: no table written, the journal not renamed.
+        assert not (root / "catalog.sqlite").exists()
+        assert journal.is_file()
+
+    def test_two_processes_opening_a_legacy_root_import_it_once(self, tmp_path):
+        root, _, live, doomed = _legacy_root(tmp_path)
+        go = tmp_path / "go"
+        source = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", _IMPORTER, str(root), str(go)],
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for _ in range(2)
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline().strip() == "READY"
+            go.touch()
+            outputs = [child.communicate(timeout=60)[0].splitlines() for child in children]
+        finally:
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+        assert [child.returncode for child in children] == [0, 0]
+        lines = [line for output in outputs for line in output]
+        assert lines.count("SQL PRAGMA user_version = 1") == 1
+        expected = sorted([[live, False], [doomed, True]])
+        for output in outputs:
+            assert output[-1] == "ROWS " + json.dumps(expected)
+        assert not (root / "catalog.jsonl").exists()
+        assert (root / "catalog.jsonl.imported").is_file()
+
 
 class TestSiblingViews:
     """Views of one catalog held by different processes, as shard workers hold them."""
 
-    def test_refresh_applies_what_a_sibling_journal_view_appended(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        a, b = JournalCatalog(path), JournalCatalog(path)
-        a.record_put(_entry("x"))
-        assert b.get("x") is None  # a view sees its own writes only...
-        b.refresh()
-        assert b.get("x") is not None  # ...until it refreshes
-        a.mark_deleted("x", deleted_at=1.0)
-        b.record_put(_entry("mine"))  # appended after a's line, unread by b
-        a.record_put(_entry("y"))
-        b.refresh()
-        assert b.get("x").deleted and b.get("y") is not None
-        assert b.get("mine") is not None
-        a.purge("x")
-        b.refresh()
-        assert b.get("x") is None
-        assert b.entries() == JournalCatalog(path).entries()
-
-    def test_refresh_replays_a_journal_a_sibling_rewrote(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        a, b = JournalCatalog(path), JournalCatalog(path)
-        b.record_put(_entry("only-b"))
-        TestPersistence._churn_past_rewrite(a)
-        assert len(path.read_text().strip().splitlines()) < 300  # a rewrote it
-        a.record_put(_entry("after-rewrite"))
-        b.refresh()
-        assert len(b) == 12
-        assert b.get("after-rewrite") is not None and b.get("only-b") is not None
-        assert b.entries() == JournalCatalog(path).entries()
-
-    def test_refresh_leaves_a_torn_last_line_unread(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        a, b = JournalCatalog(path), JournalCatalog(path)
-        a.record_put(_entry("whole"))
-        line = json.dumps({"op": "put", "entry": _entry("torn").as_json()})
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line[:20])  # a crash mid-append
-        b.refresh()
-        assert b.get("whole") is not None and b.get("torn") is None
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(line[20:] + "\n")
-        b.refresh()
-        assert b.get("torn") is not None
-
-    def test_views_refreshing_while_siblings_append_and_rewrite_agree(
-        self, tmp_path, monkeypatch
-    ):
+    def test_views_refreshing_while_siblings_write_agree(self, tmp_path):
         # More views than cores, each putting, tombstoning, reviving and
-        # refreshing while the others append and rewrite: a line a view
-        # skipped or applied out of order would leave it disagreeing with
-        # a fresh replay of the journal.
-        monkeypatch.setattr(JournalCatalog, "_REWRITE_FLOOR", 4)
-        path = tmp_path / "catalog.jsonl"
-        views = [JournalCatalog(path, rewrite_factor=1) for _ in range(4)]
+        # refreshing while the others write: a write a view lost or a
+        # refresh that applied a stale row would leave it disagreeing
+        # with a fresh load of the table.
+        path = tmp_path / "catalog.sqlite"
+        views = [SQLiteCatalog(path) for _ in range(4)]
 
         errors = []
 
@@ -439,11 +545,14 @@ class TestSiblingViews:
         finally:
             sys.setswitchinterval(switch)
         assert not errors, errors
-        replayed = JournalCatalog(path).entries()
-        assert len(replayed) == 7
+        reopened = SQLiteCatalog(path)
+        loaded = reopened.entries()
+        reopened.close()
+        assert len(loaded) == 7
         for view in views:
             view.refresh()
-            assert view.entries() == replayed
+            assert view.entries() == loaded
+            view.close()
 
     def test_sqlite_refresh_reads_a_sibling_connections_rows(self, tmp_path):
         path = tmp_path / "catalog.sqlite"
@@ -526,8 +635,8 @@ class TestReadsNeverWaitOnPersistence:
         assert catalog.get("a").deleted
 
     def test_concurrent_mutations_journal_in_mutation_order(self, tmp_path):
-        path = tmp_path / "catalog.jsonl"
-        catalog = JournalCatalog(path, rewrite_factor=1)
+        path = tmp_path / "catalog.sqlite"
+        catalog = SQLiteCatalog(path)
         keys = ["k%d" % index for index in range(4)]
         for key in keys:
             catalog.record_put(_entry(key))
@@ -545,5 +654,8 @@ class TestReadsNeverWaitOnPersistence:
             thread.start()
         for thread in threads:
             thread.join(30)
-        # Replaying the journal (rewrites included) gives the live state.
-        assert JournalCatalog(path).entries() == catalog.entries()
+        # Every row the table holds is the view's last state of its key.
+        reopened = SQLiteCatalog(path)
+        assert reopened.entries() == catalog.entries()
+        reopened.close()
+        catalog.close()
